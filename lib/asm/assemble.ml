@@ -84,11 +84,13 @@ let encode_instruction symbols line (i : Statement.instruction) =
     | None -> Ok (Isa.Instr.Ipr_relative, 0)
     | Some (Statement.Immediate e) ->
         let* v = eval symbols line e in
-        (* Negative immediates are stored as 18-bit two's complement
-           and sign-extended back at effective-address time. *)
+        (* Immediates are stored as 18-bit two's complement and
+           sign-extended back at effective-address time, so only the
+           signed range survives the round trip: 2^17 would read back
+           as -2^17. *)
         let* () =
           guard line
-            (v >= -(1 lsl 17) && v < 1 lsl 18)
+            (v >= -(1 lsl 17) && v < 1 lsl 17)
             "immediate out of 18-bit range"
         in
         Ok (Isa.Instr.Immediate, v land ((1 lsl 18) - 1))

@@ -2,12 +2,20 @@ type t = {
   words : int array;
   counters : Trace.Counters.t;
   mutable on_write : int -> unit;
-  (* Dirty-page map: one flag per [page_words]-word page, set on every
-     store and cleared only by [clear_dirty] (the snapshot layer calls
-     it at capture points).  The flag store rides the existing write
-     path — one array store, no branch on the hot path. *)
-  dirty : bool array;
+  (* Write stamps: one per [page_words]-word page, holding the [clock]
+     value of the page's latest store (0 = never written, so the page
+     is all zero).  The stamp rides the existing write path — one array
+     store, no branch on the hot path.  [epoch] closes the current
+     clock value, so "written since epoch e" is [stamps.(p) > e], and
+     the dirty map is that view over [dirty_since]. *)
+  stamps : int array;
+  mutable clock : int;
+  mutable dirty_since : int;
   mutable dirty_generation : int;
+  (* Rewind mark: memory held exactly [mark]'s image at epoch
+     [mark_epoch] ([mark = ""]: no mark). *)
+  mutable mark : string;
+  mutable mark_epoch : int;
   (* Validity tags, one byte per word — the capability backend's tag
      store.  Zero-length (and therefore branch-free to test) unless
      [enable_tags] ran: the hardware and 645 machines never allocate
@@ -30,8 +38,12 @@ let create ?(size = default_size) counters =
     words = Array.make size 0;
     counters;
     on_write = ignore_write;
-    dirty = Array.make ((size + page_words - 1) lsr page_shift) false;
+    stamps = Array.make ((size + page_words - 1) lsr page_shift) 0;
+    clock = 1;
+    dirty_since = 0;
     dirty_generation = 0;
+    mark = "";
+    mark_epoch = 0;
     tags = Bytes.empty;
   }
 
@@ -50,7 +62,7 @@ let read_silent t addr =
 let write_silent t addr w =
   check t addr;
   t.words.(addr) <- Word.of_int w;
-  t.dirty.(addr lsr page_shift) <- true;
+  t.stamps.(addr lsr page_shift) <- t.clock;
   if Bytes.length t.tags <> 0 then Bytes.unsafe_set t.tags addr '\000';
   t.on_write addr
 
@@ -67,18 +79,36 @@ let write t addr w =
 let blit_silent t addr words =
   Array.iteri (fun i w -> write_silent t (addr + i) w) words
 
-let dirty_pages t =
+let pages t = Array.length t.stamps
+
+let epoch t =
+  let e = t.clock in
+  t.clock <- e + 1;
+  e
+
+let written_since t ~epoch p = t.stamps.(p) > epoch
+
+let pages_since t ~epoch =
   let acc = ref [] in
-  for p = Array.length t.dirty - 1 downto 0 do
-    if t.dirty.(p) then acc := p :: !acc
+  for p = Array.length t.stamps - 1 downto 0 do
+    if t.stamps.(p) > epoch then acc := p :: !acc
   done;
   !acc
 
+let dirty_pages t = pages_since t ~epoch:t.dirty_since
+
 let clear_dirty t =
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  t.dirty_since <- epoch t;
   t.dirty_generation <- t.dirty_generation + 1
 
 let dirty_generation t = t.dirty_generation
+
+let set_mark t key =
+  t.mark <- key;
+  t.mark_epoch <- epoch t
+
+let mark_epoch t key =
+  if String.length key > 0 && String.equal key t.mark then t.mark_epoch else 0
 
 (* {1 Validity tags} *)
 

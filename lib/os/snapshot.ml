@@ -74,30 +74,20 @@ let version = 4
 let header_len = 8 + 8 + 8 + 8
 
 (* FNV-1a 64, truncated to OCaml's 63-bit int (writer and reader
-   truncate identically, so nothing is lost to the comparison).
-
-   Computed in two 32-bit native limbs instead of boxed [Int64]: the
-   FNV prime is 2^40 + 0x1b3, so one step over h = hi·2^32 + lo is
-
-     h' = h·2^40 + h·0x1b3  (mod 2^64)
-        = lo·2^40 + (hi·0x1b3)·2^32 + lo·0x1b3  (mod 2^64)
-
-   and every intermediate fits well inside a 63-bit native int.  This
-   sits on the per-delta hot path — incremental checkpointing
-   checksums every image it seals — and the limb form is
-   allocation-free.  The final fold to a native int matches
-   [Int64.to_int]'s low-63-bit truncation bit for bit. *)
+   truncate identically, so nothing is lost to the comparison).  The
+   hash lives in a local [Int64] ref, which the native compiler keeps
+   unboxed in a register: the loop allocates nothing and costs one
+   xor and one multiply per byte.  Every warm boot and every sealed
+   delta checksums its whole payload, so this is on both hot paths. *)
 let checksum s =
-  let mask32 = 0xFFFFFFFF in
-  let lo = ref 0x84222325 and hi = ref 0xcbf29ce4 in
+  let h = ref 0xcbf29ce484222325L in
   for i = 0 to String.length s - 1 do
-    let l = !lo lxor Char.code (String.unsafe_get s i) in
-    let h = !hi in
-    let m = l * 0x1b3 in
-    lo := m land mask32;
-    hi := ((l lsl 8) + (h * 0x1b3) + (m lsr 32)) land mask32
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
   done;
-  (!hi lsl 32) lor !lo
+  Int64.to_int !h
 
 (* {1 Writer primitives} *)
 
@@ -138,14 +128,9 @@ let need r n =
 
 let r_int r =
   need r 8;
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v :=
-      Int64.logor (Int64.shift_left !v 8)
-        (Int64.of_int (Char.code r.data.[r.pos]));
-    r.pos <- r.pos + 1
-  done;
-  Int64.to_int !v
+  let v = Int64.to_int (String.get_int64_be r.data r.pos) in
+  r.pos <- r.pos + 8;
+  v
 
 let r_bool r =
   match r_int r with
@@ -772,17 +757,24 @@ let write_machine_pre b (m : Isa.Machine.t) =
   w_bool b m.Isa.Machine.io_fail_pending
 
 let write_memory b (mem : Hw.Memory.t) =
-  (* Memory, sparsely: (address, word) pairs ascending. *)
+  (* Memory, sparsely: (address, word) pairs ascending.  A page never
+     written holds only zeros (the stamp-0 invariant of {!Hw.Memory}),
+     so it is skipped unread. *)
   let size = Hw.Memory.size mem in
   w_int b size;
   let words = Buffer.create 65536 in
   let count = ref 0 in
-  for a = 0 to size - 1 do
-    let w = Hw.Memory.read_silent mem a in
-    if w <> 0 then begin
-      incr count;
-      w_int words a;
-      w_int words w
+  for p = 0 to Hw.Memory.pages mem - 1 do
+    if Hw.Memory.written_since mem ~epoch:0 p then begin
+      let base = p * Hw.Memory.page_words in
+      for a = base to min size (base + Hw.Memory.page_words) - 1 do
+        let w = Hw.Memory.read_silent mem a in
+        if w <> 0 then begin
+          incr count;
+          w_int words a;
+          w_int words w
+        end
+      done
     end
   done;
   w_int b !count;
@@ -938,10 +930,9 @@ let capture sys =
   with_capture_counted m.Isa.Machine.counters (fun () ->
       Isa.Machine.quiesce m;
       let image = encode sys in
-      (* Every public capture is a capture point: clearing the dirty
-         map moves its generation, so a delta chain straddling this
-         capture refuses its next [capture_delta] instead of emitting
-         a delta that silently misses these pages. *)
+      (* Every public capture is a capture point for the global dirty
+         map.  Chains and rewind marks keep their own epochs, so this
+         cannot make them miss a page. *)
       Hw.Memory.clear_dirty m.Isa.Machine.mem;
       image)
 
@@ -958,7 +949,46 @@ let apply_counters r (c : Trace.Counters.t) =
   | Ok snap -> Trace.Counters.restore c snap
   | Error msg -> corrupt msg
 
-let apply_machine r (m : Isa.Machine.t) =
+(* Memory: write the image's pairs, zero every other word.  Words are
+   only touched when they differ, so the common case is mostly reads.
+   [since] is an epoch at which memory is known to have held this very
+   image (0 when none is known): a page not written after it still
+   holds the image's words, zeros included, so only the pages written
+   since are swept for stale words.  With [since = 0] that is every
+   page ever written, which the stamp-0 invariant makes exact.  With
+   [mark], memory is marked as holding that image once the section has
+   been applied, so the next rewind to it sweeps only what changed. *)
+let apply_memory r mem ~since ~mark =
+  let size = Hw.Memory.size mem in
+  if r_int r <> size then shape "memory size differs";
+  let count = r_int r in
+  if count < 0 then corrupt "negative memory pair count";
+  let set a w =
+    if Hw.Memory.read_silent mem a <> w then Hw.Memory.write_silent mem a w
+  in
+  let pw = Hw.Memory.page_words in
+  let zero lo hi =
+    if lo < hi then
+      for p = lo / pw to (hi - 1) / pw do
+        if Hw.Memory.written_since mem ~epoch:since p then
+          for z = max lo (p * pw) to min hi ((p + 1) * pw) - 1 do
+            set z 0
+          done
+      done
+  in
+  let prev = ref (-1) in
+  for _ = 1 to count do
+    let a = r_int r in
+    let w = r_int r in
+    if a <= !prev || a >= size then corrupt "memory pairs not ascending";
+    zero (!prev + 1) a;
+    set a w;
+    prev := a
+  done;
+  zero (!prev + 1) size;
+  Option.iter (Hw.Memory.set_mark mem) mark
+
+let apply_machine ?(since = 0) ?mark r (m : Isa.Machine.t) =
   let mode_tag =
     match m.Isa.Machine.mode with
     | Isa.Machine.Ring_hardware -> 0
@@ -998,31 +1028,9 @@ let apply_machine r (m : Isa.Machine.t) =
       r;
   m.Isa.Machine.degraded <- r_bool r;
   m.Isa.Machine.io_fail_pending <- r_bool r;
-  (* Memory: write the image's words, zero everything else.  Words are
-     only touched when they differ, so the common case (respawn
-     already rebuilt the same contents) is mostly reads. *)
   let mem = m.Isa.Machine.mem in
   let size = Hw.Memory.size mem in
-  if r_int r <> size then shape "memory size differs";
-  let count = r_int r in
-  if count < 0 then corrupt "negative memory pair count";
-  let set a w =
-    if Hw.Memory.read_silent mem a <> w then Hw.Memory.write_silent mem a w
-  in
-  let prev = ref (-1) in
-  for _ = 1 to count do
-    let a = r_int r in
-    let w = r_int r in
-    if a <= !prev || a >= size then corrupt "memory pairs not ascending";
-    for z = !prev + 1 to a - 1 do
-      set z 0
-    done;
-    set a w;
-    prev := a
-  done;
-  for z = !prev + 1 to size - 1 do
-    set z 0
-  done;
+  apply_memory r mem ~since ~mark;
   (* SDW tag-store population: every key present, every value absent —
      exactly the state [quiesce] leaves behind. *)
   let keys = r_list r_int r in
@@ -1039,7 +1047,10 @@ let apply_machine r (m : Isa.Machine.t) =
   | None, Some _ -> shape "this run has a fault injector, the image does not");
   (* Capability state.  The tag re-application must come after the
      memory loop above: restoring a word goes through [write_silent],
-     which clears its tag, so tags written earlier would be erased. *)
+     which clears its tag, so tags written earlier would be erased.
+     Tags are outside the write stamps ([set_tag]/[clear_tag] stamp no
+     page), so the tag store is always rewound whole, even when the
+     memory rewind above swept only the pages written since a mark. *)
   if r_bool r <> Hw.Memory.tags_enabled mem then
     shape "capability tag store presence differs";
   let tagged = r_list r_int r in
@@ -1231,23 +1242,33 @@ let parse_header image =
    exist to catch on-disk damage and tampering — are skipped, and the
    [restores] counter is left exactly as the image recorded it.  This
    is the serving fleet's warm-boot: rewinding a shard's machine to
-   its boot image between requests costs O(apply), and the restored
-   counters are byte-for-byte the boot counters, so per-request deltas
-   are comparable across shards and runs. *)
-let warm_boot sys image =
+   its boot image between requests, with the restored counters
+   byte-for-byte the boot counters, so per-request deltas are
+   comparable across shards and runs.
+
+   The memory rewind is proportional to what changed, not to memory:
+   when the last warm boot of this memory was to this same image, only
+   the pages written since that boot are swept; every non-memory
+   section is still decoded in full. *)
+let rewind sys image =
   let m = System.machine sys in
+  let mem = m.Isa.Machine.mem in
   try
     let r = parse_header image in
+    let since = Hw.Memory.mark_epoch mem image in
+    let start = Hw.Memory.epoch mem in
     Isa.Machine.quiesce m;
     apply_counters r m.Isa.Machine.counters;
-    apply_machine r m;
+    apply_machine ~since ~mark:image r m;
     apply_trace r m;
     apply_system r sys;
     if r.pos <> String.length r.data then corrupt "unconsumed payload";
-    Ok ()
+    Ok (List.length (Hw.Memory.pages_since mem ~epoch:start))
   with
   | Fail e -> Error e
   | Invalid_argument msg -> Error (Corrupt msg)
+
+let warm_boot sys image = Result.map ignore (rewind sys image)
 
 let restore sys image =
   let m = System.machine sys in
@@ -1293,11 +1314,13 @@ let restore sys image =
 
 (* {1 Incremental capture}
 
-   A delta image records only the memory pages dirtied since its
-   predecessor (the dirty map in {!Hw.Memory} is cleared exactly at
-   chain capture points, so between captures it is a conservative
-   superset of the pages that changed) plus the complete non-memory
-   state, which is small.  Layout:
+   A delta image records only the memory pages written since its
+   predecessor — the pages {!Hw.Memory} stamped after the epoch the
+   chain took at that capture point, a conservative superset of the
+   pages that changed — plus the complete non-memory state, which is
+   small.  The epoch is the chain's own: no other capture, rewind or
+   [clear_dirty] can move it, so an interloper cannot make a delta
+   miss pages.  Layout:
 
      "RINGDELT" | version | payload length | checksum | payload
      payload = base_sum            predecessor's payload checksum
@@ -1325,7 +1348,7 @@ let restore sys image =
 
 type chain = {
   mutable tail_sum : int;  (* payload checksum of the newest image *)
-  mutable expected_gen : int;  (* memory dirty generation at that image *)
+  mutable since : int;  (* memory epoch taken at that image's capture *)
   chain_mem_size : int;
   mutable deltas_taken : int;
 }
@@ -1347,10 +1370,9 @@ let start_chain sys =
   let m = System.machine sys in
   let mem = m.Isa.Machine.mem in
   let image = capture sys in
-  Hw.Memory.clear_dirty mem;
   ( {
       tail_sum = checksum (payload_of image);
-      expected_gen = Hw.Memory.dirty_generation mem;
+      since = Hw.Memory.epoch mem;
       chain_mem_size = Hw.Memory.size mem;
       deltas_taken = 0;
     },
@@ -1364,10 +1386,6 @@ let capture_delta sys chain =
   with_capture_counted m.Isa.Machine.counters (fun () ->
       (* Inside the counted region: a refused delta is a failed
          capture and must leave [snapshots_written] unchanged. *)
-      if Hw.Memory.dirty_generation mem <> chain.expected_gen then
-        invalid_arg
-          "Snapshot.capture_delta: dirty map cleared outside this chain \
-           (another capture point intervened)";
       if Hw.Memory.size mem <> chain.chain_mem_size then
         invalid_arg "Snapshot.capture_delta: memory size changed";
       Isa.Machine.quiesce m;
@@ -1379,7 +1397,7 @@ let capture_delta sys chain =
       w_str b (Buffer.contents pre);
       let size = Hw.Memory.size mem in
       w_int b size;
-      let pages = Hw.Memory.dirty_pages mem in
+      let pages = Hw.Memory.pages_since mem ~epoch:chain.since in
       w_int b (List.length pages);
       let pairs = Buffer.create 4096 in
       List.iter
@@ -1408,7 +1426,7 @@ let capture_delta sys chain =
       let sum = checksum payload in
       let image = seal_image_sum ~magic:delta_magic ~sum payload in
       Hw.Memory.clear_dirty mem;
-      chain.expected_gen <- Hw.Memory.dirty_generation mem;
+      chain.since <- Hw.Memory.epoch mem;
       chain.tail_sum <- sum;
       chain.deltas_taken <- chain.deltas_taken + 1;
       image)
@@ -1585,7 +1603,7 @@ let restore_chain sys ~base deltas =
 (* After a GC pass folds BASE ++ deltas into a new full BASE on disk,
    the live chain must link its next delta to the flattened image, not
    to the last delta it captured.  No capture happens here, so the
-   dirty-map generation is untouched — only the tail link and the
+   chain's memory epoch is untouched — only the tail link and the
    delta count move.  The base is validated (magic, version, checksum,
    memory size) before the chain is touched, so a failed rebase leaves
    the chain usable. *)

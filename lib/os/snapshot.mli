@@ -68,35 +68,41 @@ val capture : System.t -> string
 (** {1 Incremental capture}
 
     A chain is a full base image followed by deltas that serialize
-    only the memory pages dirtied since the previous image (via
-    {!Hw.Memory.dirty_pages}) plus the complete — and small —
-    non-memory state.  Every image references its predecessor by
-    payload checksum, and {!flatten} folds a chain back into a full
-    image that is {e byte-identical} to what {!capture} would have
-    produced at the last delta's capture point, so restore semantics
-    are exactly full-capture semantics.  Every public capture — full
-    or delta — is a capture point that clears the dirty map and moves
-    its generation, so a chain straddling a full {!capture} (or
-    another chain's captures) notices at its next {!capture_delta}
-    and refuses with [Invalid_argument] rather than emit a delta that
-    silently misses pages. *)
+    only the memory pages written since the previous image plus the
+    complete — and small — non-memory state.  Every image references
+    its predecessor by payload checksum, and {!flatten} folds a chain
+    back into a full image that is {e byte-identical} to what
+    {!capture} would have produced at the last delta's capture point,
+    so restore semantics are exactly full-capture semantics.
+
+    Which pages a delta carries comes from {!Hw.Memory}'s write stamps:
+    at each of its capture points the chain takes its own memory
+    epoch, and the next delta serializes every page stamped after it.
+    No other observer can move that epoch, so a full {!capture},
+    another chain, a {!warm_boot} or a foreign
+    {!Hw.Memory.clear_dirty} between two deltas changes nothing about
+    what the next delta carries — a delta can no longer miss pages,
+    and there is nothing to refuse.  Public captures still clear the
+    global dirty map ({!Hw.Memory.dirty_pages}), which remains a view
+    of what changed since the most recent capture point of any
+    kind. *)
 
 type chain
 (** Host-side chain state: the predecessor's payload checksum and the
-    dirty-map generation it was captured at.  Not serialized — a chain
+    memory epoch taken at its capture point.  Not serialized — a chain
     lives and dies with the process that started it. *)
 
 val start_chain : System.t -> chain * string
 (** Capture a full base image ({!capture} semantics, including the
-    counter bump), clear the dirty map, and open a chain on it. *)
+    counter bump) and open a chain on it. *)
 
 val capture_delta : System.t -> chain -> string
-(** Capture a delta over the chain's newest image: only pages dirtied
+(** Capture a delta over the chain's newest image: only pages written
     since then are serialized.  Bumps [snapshots_written] like
     {!capture} (rolled back if the capture fails), quiesces, clears
-    the dirty map and advances the chain.  Raises [Invalid_argument]
-    if the dirty map was cleared outside this chain — the delta would
-    silently miss pages. *)
+    the global dirty map and advances the chain's epoch.  Raises
+    [Invalid_argument] if the system's memory size differs from the
+    one the chain was opened on. *)
 
 val chain_length : chain -> int
 (** Deltas captured on this chain so far. *)
@@ -107,8 +113,8 @@ val rebase : chain -> base:string -> (unit, error) result
     garbage-collection pass has replaced the on-disk base and deleted
     the folded deltas.  The next {!capture_delta} then links to
     [base]'s payload, and {!chain_length} restarts at 0.  No capture
-    happens and the dirty map is untouched, so the chain keeps
-    accumulating from exactly where it was.  The image is validated
+    happens and the chain's memory epoch is untouched, so the chain
+    keeps accumulating from exactly where it was.  The image is validated
     (magic, version, checksum, memory size) before the chain is
     touched; on [Error] the chain is unchanged. *)
 
@@ -127,14 +133,37 @@ val restore_chain : System.t -> base:string -> string list -> (unit, error) resu
 
 val warm_boot : System.t -> string -> (unit, error) result
 (** Trusted fast restore for images captured by this same process —
-    the serving fleet's per-request rewind.  Header and checksum are
-    verified and the full state applied, but the two expensive layers
-    that defend against on-disk damage ({!restore}'s re-capture
-    self-check and kernel-table audit) are skipped, and the [restores]
-    counter is left exactly as the image recorded it, so a rewound
-    machine's counters are byte-identical to the boot state and
-    per-request deltas compare cleanly.  Never pass an image from
-    outside this process here — use {!restore} for those. *)
+    the serving fleet's per-request rewind.  The header is parsed, the
+    checksum verified and every non-memory section decoded and applied
+    in full, but the two expensive layers that defend against on-disk
+    damage ({!restore}'s re-capture self-check and kernel-table audit)
+    are skipped, and the [restores] counter is left exactly as the
+    image recorded it, so a rewound machine's counters are
+    byte-identical to the boot state and per-request deltas compare
+    cleanly.
+
+    The memory rewind costs what the last request touched, not what
+    memory holds.  Each machine's memory remembers the image it was
+    last warm-booted to and a memory epoch taken at the end of that
+    boot ({!Hw.Memory.set_mark}).  Booting the same image again applies
+    the image's sparse (address, word) pairs — each written only if
+    the word differs — and zero-fills the remaining words only on the
+    pages stamped after that epoch: every other page is exactly as
+    that boot left it.  Booting any other image uses epoch 0, which
+    sweeps every page ever written and skips the rest, which are zero.
+    No dense copy of the image's memory is kept.  Validity tags carry
+    no stamps, so the capability tag store is always rewound whole.
+
+    Never pass an image from outside this process here — use
+    {!restore} for those. *)
+
+val rewind : System.t -> string -> (int, error) result
+(** {!warm_boot}, returning how many memory pages the rewind rewrote —
+    the pages holding at least one word that differed from the image.
+    For a machine rewound between requests of one class that is a
+    function of the class alone, however the rewind found them.  A
+    host statistic for the serving layer; nothing modeled depends on
+    it. *)
 
 val restore : System.t -> string -> (unit, error) result
 (** Overwrite a freshly respawned system — same program file, same

@@ -151,6 +151,9 @@ type host_stats = {
   hs_steal : bool;
   hs_executed : int array;
   hs_stolen : int array;
+  hs_warm_boots : int array;
+  hs_rewound_pages : int array;
+  hs_peak_rewound : int;
 }
 
 type result = {
@@ -624,5 +627,9 @@ let run cfg reqs =
         hs_steal = cfg.steal;
         hs_executed;
         hs_stolen;
+        hs_warm_boots = Array.map Shard.warm_boots workers;
+        hs_rewound_pages = Array.map Shard.rewound_pages workers;
+        hs_peak_rewound =
+          Array.fold_left (fun a w -> max a (Shard.peak_rewound w)) 0 workers;
       };
   }

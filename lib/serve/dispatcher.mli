@@ -155,6 +155,12 @@ type host_stats = {
   hs_steal : bool;
   hs_executed : int array;  (** Per-worker requests executed (host order). *)
   hs_stolen : int array;  (** Per-worker requests stolen from siblings. *)
+  hs_warm_boots : int array;  (** Per-worker warm boots. *)
+  hs_rewound_pages : int array;
+      (** Per-worker memory pages those warm boots rewrote
+          ({!Shard.rewound_pages}). *)
+  hs_peak_rewound : int;
+      (** The most pages any one warm boot rewrote, fleet-wide. *)
 }
 (** Host-side execution accounting.  Nondeterministic by nature (it
     measures the host scheduler); kept out of the deterministic

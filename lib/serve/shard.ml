@@ -192,6 +192,9 @@ type t = {
   mutable busy : int;
   mutable cold : int;
   mutable warm : int;
+  (* Host statistics of the warm boots' memory rewinds. *)
+  mutable rewound : int;
+  mutable peak_rewound : int;
 }
 
 let create ~id ?(image_cap = 8) ?backend ?inject ?watchdog ?trace
@@ -215,6 +218,8 @@ let create ~id ?(image_cap = 8) ?backend ?inject ?watchdog ?trace
     busy = 0;
     cold = 0;
     warm = 0;
+    rewound = 0;
+    peak_rewound = 0;
   }
 
 let id t = t.sid
@@ -224,6 +229,8 @@ let executed t = t.n_executed
 let busy_cycles t = t.busy
 let cold_boots t = t.cold
 let warm_boots t = t.warm
+let rewound_pages t = t.rewound
+let peak_rewound t = t.peak_rewound
 let image_stats t = Hw.Assoc.stats t.cache
 let images t = Hw.Assoc.fold (fun k s acc -> (k, s.image) :: acc) t.cache []
 
@@ -231,8 +238,8 @@ let images t = Hw.Assoc.fold (fun k s acc -> (k, s.image) :: acc) t.cache []
 (* Booting *)
 
 (* One 2^18-word region: a shard system holds exactly one process, and
-   the smaller core keeps the snapshot image (and thus every warm
-   boot's memory sweep) an eighth of the default machine's. *)
+   the smaller core keeps the snapshot image (and thus the checksum
+   every warm boot verifies) an eighth of the default machine's. *)
 let shard_mem = 1 lsl 18
 
 let fail fmt = Printf.ksprintf failwith fmt
@@ -302,13 +309,17 @@ let seal_slot sys =
     boot_kernel = Trace.Profile.kernel_cycles m.Isa.Machine.profile;
   }
 
+let find_program t program =
+  match List.assoc_opt program catalog with
+  | Some p -> p
+  | None -> fail "shard %d: unknown program %s" t.sid program
+
+let class_system ?backend ?inject (program, iterations) =
+  let t = create ~id:0 ?backend ?inject () in
+  build_system t (find_program t program) ~iterations
+
 let cold_boot t ((program, iterations) as k) =
-  let prog =
-    match List.assoc_opt program catalog with
-    | Some p -> p
-    | None -> fail "shard %d: unknown program %s" t.sid program
-  in
-  let sys = build_system t prog ~iterations in
+  let sys = build_system t (find_program t program) ~iterations in
   (match List.assoc_opt k t.preload with
   | None -> ()
   | Some image -> (
@@ -330,9 +341,11 @@ let boot t k =
   match Hw.Assoc.find t.cache k with
   | None -> cold_boot t k
   | Some slot -> (
-      match Os.Snapshot.warm_boot slot.sys slot.image with
-      | Ok () ->
+      match Os.Snapshot.rewind slot.sys slot.image with
+      | Ok pages ->
           t.warm <- t.warm + 1;
+          t.rewound <- t.rewound + pages;
+          t.peak_rewound <- max t.peak_rewound pages;
           slot
       | Error e ->
           fail "shard %d: warm boot failed: %s" t.sid

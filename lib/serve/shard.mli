@@ -105,6 +105,14 @@ val busy_cycles : t -> int
 val cold_boots : t -> int
 val warm_boots : t -> int
 
+val rewound_pages : t -> int
+(** Memory pages the warm boots rewrote, summed over every warm boot
+    ({!Os.Snapshot.rewind}).  A host statistic: it never enters
+    {!Trace.Counters} or any report and cannot affect an outcome. *)
+
+val peak_rewound : t -> int
+(** The most pages any one warm boot of this shard rewrote. *)
+
 val image_stats : t -> Hw.Assoc.stats
 (** Hit/miss/eviction counters of the boot-image cache. *)
 
@@ -130,6 +138,13 @@ val programs : string list
     paging, and a gateless compute spin. *)
 
 val known_program : string -> bool
+
+val class_system :
+  ?backend:Isa.Machine.mode -> ?inject:Hw.Inject.plan -> klass -> Os.System.t
+(** The system a cold boot of the class builds before sealing its boot
+    image — same program, memory size, process, profile and injector
+    wiring — for tests and tools that need the machine a shard serves
+    on.  Raises [Failure] on an unknown program. *)
 
 val exec : t -> Workload.request -> outcome
 (** Serve one request: warm- or cold-boot the class, run to

@@ -552,11 +552,19 @@ let fields (s : snapshot) : (string * int) list =
    offending fields, so a fleet report that meets a build with a
    drifted counter schema says exactly which names drifted rather
    than masking them. *)
+let field_names = List.map fst (fields (snapshot (create ())))
+
+(* Position of each name in [field_names]: every snapshot restore
+   (each warm boot among them) looks all of them up. *)
+let field_index =
+  let h = Hashtbl.create 64 in
+  List.iteri (fun i name -> Hashtbl.replace h name i) field_names;
+  h
+
 let of_fields (l : (string * int) list) : (snapshot, string) result =
-  let zero = snapshot (create ()) in
-  let expected = List.map fst (fields zero) in
+  let expected = field_names in
   let given = List.map fst l in
-  if given <> expected then begin
+  if not (List.equal String.equal given expected) then begin
     let missing = List.filter (fun n -> not (List.mem n given)) expected in
     let unknown = List.filter (fun n -> not (List.mem n expected)) given in
     let part label = function
@@ -574,7 +582,8 @@ let of_fields (l : (string * int) list) : (snapshot, string) result =
     Error (String.concat "; " detail)
   end
   else
-    let get name = List.assoc name l in
+    let values = Array.of_list (List.map snd l) in
+    let get name = values.(Hashtbl.find field_index name) in
     Ok
       {
         cycles = get "cycles";

@@ -110,6 +110,32 @@ let test_unknown_opcode_line_number () =
   | Error [ e ] -> Alcotest.(check int) "line 2" 2 e.Asm.Assemble.line
   | _ -> Alcotest.fail "expected a single error on line 2"
 
+(* An immediate reads back through the effective-address sign
+   extension: the largest value that survives is 2^17 - 1, and 2^17 —
+   which would come back as -2^17 — is refused at assembly time. *)
+let test_immediate_range () =
+  let lda_value n =
+    let p = assemble (Printf.sprintf "    lda =%d\n" n) in
+    let m =
+      Fixtures.build
+        ~segments:[ (1, p.Asm.Assemble.words, Fixtures.code_ring 4) ]
+        ()
+    in
+    Fixtures.set_ipr m ~ring:4 ~segno:1 ~wordno:0;
+    Fixtures.expect_running "lda" (Isa.Cpu.step m);
+    Hw.Word.to_signed m.Isa.Machine.regs.Hw.Registers.a
+  in
+  Alcotest.(check int) "largest immediate round-trips" 131071
+    (lda_value 131071);
+  Alcotest.(check int) "smallest immediate round-trips" (-131072)
+    (lda_value (-131072));
+  match Asm.Assemble.assemble "    lda =131072\n" with
+  | Error [ e ] ->
+      Alcotest.(check string) "refusal message" "immediate out of 18-bit range"
+        e.Asm.Assemble.message
+  | Error _ -> Alcotest.fail "expected a single error"
+  | Ok _ -> Alcotest.fail "2^17 immediate accepted"
+
 let test_comments_and_blanks () =
   let p = assemble "; header\n\nstart: nop ; trailing\n\n" in
   Alcotest.(check int) "one word" 1 (Array.length p.Asm.Assemble.words)
@@ -215,6 +241,7 @@ let suite =
         Alcotest.test_case "undefined symbol" `Quick test_undefined_symbol;
         Alcotest.test_case "error line numbers" `Quick
           test_unknown_opcode_line_number;
+        Alcotest.test_case "immediate range" `Quick test_immediate_range;
         Alcotest.test_case "comments and blanks" `Quick
           test_comments_and_blanks;
         Alcotest.test_case "symbol offset expressions" `Quick

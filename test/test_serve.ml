@@ -129,7 +129,111 @@ let test_shard_warm_boot_equivalence () =
   Alcotest.(check bool) "identical counter deltas" true
     (o0.Serve.Shard.delta = o1.Serve.Shard.delta);
   Alcotest.(check bool) "identical ring attribution" true
-    (o0.Serve.Shard.ring_cycles = o1.Serve.Shard.ring_cycles)
+    (o0.Serve.Shard.ring_cycles = o1.Serve.Shard.ring_cycles);
+  (* The warm boot rewrote what the first request wrote: a few pages
+     (stack frames, the counter segment), not the machine. *)
+  let rewound = Serve.Shard.rewound_pages s in
+  Alcotest.(check bool) "warm boot rewrote 1..8 pages" true
+    (rewound >= 1 && rewound <= 8);
+  Alcotest.(check int) "one boot, so peak = total" rewound
+    (Serve.Shard.peak_rewound s)
+
+(* The warm boot's rewind sweeps only the pages written since the
+   last boot to the same image, so it is checked differentially: after
+   every boot, a full capture must be byte-equal to the booted state's
+   own capture.  ([capture] counts itself before serializing, so the
+   reference is the capture taken right after sealing the image — the
+   booted state plus that one count — not the image itself.)  Every
+   catalog class under every backend, with and without fault
+   injection, whose corruption lands through the same write path as
+   ordinary stores; between boots, the interlopers a shard's machine
+   can meet: a foreign [clear_dirty], a chain opened before the boot
+   and a delta after it (the handoff path), and a checked restore of a
+   different image.  Under the capability backend a tag set or cleared
+   behind the rewind's back stamps no page, so a rewind that trusted
+   the stamps for tags would keep it. *)
+let test_rewind_differential () =
+  let backends =
+    [
+      Isa.Machine.Ring_hardware;
+      Isa.Machine.Ring_software_645;
+      Isa.Machine.Ring_capability;
+    ]
+  in
+  let plans = [ None; Some (Hw.Inject.default_plan ~seed:5) ] in
+  let check_class backend inject ((program, _) as k) =
+    let name =
+      Printf.sprintf "%s/%s%s" program
+        (Rings.Backend.to_string (Isa.Machine.backend_of_mode backend))
+        (if inject = None then "" else "/inject")
+    in
+    let sys = Serve.Shard.class_system ~backend ?inject k in
+    let mem = (Os.System.machine sys).Isa.Machine.mem in
+    let image = Os.Snapshot.capture sys in
+    let booted = Os.Snapshot.capture sys in
+    let run () =
+      let (_ : (string * Os.Kernel.exit) list) =
+        Os.System.run ~watchdog:200_000 sys
+      in
+      ()
+    in
+    let boot_to image booted what =
+      (match Os.Snapshot.warm_boot sys image with
+      | Ok () -> ()
+      | Error e ->
+          Alcotest.failf "%s: warm boot %s: %a" name what Os.Snapshot.pp_error
+            e);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: rewound exactly %s" name what)
+        true
+        (String.equal (Os.Snapshot.capture sys) booted)
+    in
+    let boot = boot_to image booted in
+    run ();
+    boot "after a request";
+    run ();
+    boot "again, from its own mark";
+    run ();
+    Hw.Memory.clear_dirty mem;
+    boot "after a foreign clear_dirty";
+    run ();
+    let chain, _ = Os.Snapshot.start_chain sys in
+    boot "inside a chain";
+    let (_ : string) = Os.Snapshot.capture_delta sys chain in
+    run ();
+    boot "after the chain's delta";
+    run ();
+    let other = Os.Snapshot.capture sys in
+    let other_booted = Os.Snapshot.capture sys in
+    boot "before a foreign restore";
+    (match Os.Snapshot.restore sys other with
+    | Ok () -> ()
+    | Error e ->
+        Alcotest.failf "%s: restore: %a" name Os.Snapshot.pp_error e);
+    boot "after a checked restore of another image";
+    run ();
+    boot_to other other_booted "to another image";
+    boot "back from another image";
+    if Hw.Memory.tags_enabled mem then begin
+      run ();
+      boot "before the tag interlopers";
+      (* Tag the last word of memory — a page nothing writes — and
+         untag every tagged word: neither stamps a page. *)
+      let tagged = Hw.Memory.tagged_addrs mem in
+      Hw.Memory.set_tag mem (Hw.Memory.size mem - 1);
+      List.iter (Hw.Memory.clear_tag mem) tagged;
+      boot "after tags changed behind its back"
+    end
+  in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun inject ->
+          List.iter
+            (fun program -> check_class backend inject (program, 3))
+            Serve.Shard.programs)
+        plans)
+    backends
 
 let test_shard_every_program () =
   let s = Serve.Shard.create ~id:0 () in
@@ -683,6 +787,8 @@ let suite =
         Alcotest.test_case "route: liveness walk" `Quick test_route_alive;
         Alcotest.test_case "shard: warm boot equivalence" `Quick
           test_shard_warm_boot_equivalence;
+        Alcotest.test_case "shard: rewind differential" `Quick
+          test_rewind_differential;
         Alcotest.test_case "shard: every catalog program" `Quick
           test_shard_every_program;
         Alcotest.test_case "shard: cache disabled" `Quick

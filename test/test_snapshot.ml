@@ -590,42 +590,80 @@ let test_rebase_continues_the_chain () =
       Alcotest.failf "chain unusable after failed rebase: %a"
         Os.Snapshot.pp_error e
 
-(* Failed captures must not inflate [snapshots_written], and a full
-   capture mid-chain poisons the chain, not the system. *)
-let test_chain_interlopers_and_counter_rollback () =
-  let sys = fresh_system () in
-  let c = counters sys in
-  let chain, _base = Os.Snapshot.start_chain sys in
-  let d1 = Os.Snapshot.capture_delta sys chain in
-  Alcotest.(check int) "chain advanced" 1 (Os.Snapshot.chain_length chain);
-  ignore d1;
-  (* A full capture is a capture point: it clears the dirty map, so
-     the straddled chain must refuse its next delta instead of
-     emitting one that misses the pages dirtied before the capture. *)
-  let (_ : string) = Os.Snapshot.capture sys in
+(* A chain keeps its own memory epoch, so interlopers between two of
+   its captures — a full capture, a foreign [clear_dirty] right after a
+   store the chain has not yet seen — can no longer make a delta miss
+   pages.  Twin systems: one checkpoints a chain and suffers the
+   interlopers, the other takes a full capture wherever the first
+   captures anything and makes the same stores, so the two agree on
+   every counter.  Every delta must flatten byte-equal to the twin's
+   full capture at the same point.  A refused delta — memory size
+   changed — must still leave [snapshots_written] as it was. *)
+let test_chain_survives_interlopers_and_counter_rollback () =
+  let a = fresh_system ~n1:60 ~n2:30 () and b = fresh_system ~n1:60 ~n2:30 () in
+  let chain, base = Os.Snapshot.start_chain a in
+  let (_ : string) = Os.Snapshot.capture b in
+  (* A store to a page the program never touches, made on both twins. *)
+  let stray sys i =
+    let mem = machine_mem sys in
+    Hw.Memory.write_silent mem (Hw.Memory.size mem - 1 - i) (i + 1)
+  in
+  let deltas = ref [] and fulls = ref [] in
+  let slice_a = ref 0 and slice_b = ref 0 in
+  let exits_a =
+    Os.System.run
+      ~on_slice:(fun () ->
+        incr slice_a;
+        (match !slice_a mod 3 with
+        | 0 -> ignore (Os.Snapshot.capture a : string)
+        | 1 ->
+            stray a !slice_a;
+            Hw.Memory.clear_dirty (machine_mem a)
+        | _ -> ());
+        deltas := Os.Snapshot.capture_delta a chain :: !deltas)
+      a
+  in
+  let exits_b =
+    Os.System.run
+      ~on_slice:(fun () ->
+        incr slice_b;
+        (match !slice_b mod 3 with
+        | 0 -> ignore (Os.Snapshot.capture b : string)
+        | 1 -> stray b !slice_b
+        | _ -> ());
+        fulls := Os.Snapshot.capture b :: !fulls)
+      b
+  in
+  Alcotest.(check (list exit_pair)) "twin runs exit identically" exits_a exits_b;
+  let deltas = List.rev !deltas and fulls = List.rev !fulls in
+  Alcotest.(check bool) "every interloper met at least twice" true
+    (List.length deltas >= 6);
+  List.iteri
+    (fun i full ->
+      let prefix = List.filteri (fun j _ -> j <= i) deltas in
+      match Os.Snapshot.flatten ~base prefix with
+      | Ok img ->
+          Alcotest.(check bool)
+            (Printf.sprintf "delta %d flattens to the full capture's bytes" i)
+            true (String.equal img full)
+      | Error e ->
+          Alcotest.failf "flatten link %d: %a" i Os.Snapshot.pp_error e)
+    fulls;
+  (* The memory-size refusal is a failed capture: the counter bump is
+     rolled back and the chain does not advance. *)
+  let small =
+    Os.System.create ~mem_size:(1 lsl 20) ~store:(build_store ~n1:30 ~n2:12 ()) ()
+  in
+  let c = counters small in
   let before = Trace.Counters.snapshots_written c in
-  (match Os.Snapshot.capture_delta sys chain with
+  let length = Os.Snapshot.chain_length chain in
+  (match Os.Snapshot.capture_delta small chain with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capture_delta survived an interloping capture");
+  | _ -> Alcotest.fail "capture_delta accepted a different memory size");
   Alcotest.(check int) "refused delta rolled back snapshots_written" before
     (Trace.Counters.snapshots_written c);
-  Alcotest.(check int) "refused delta did not advance the chain" 1
-    (Os.Snapshot.chain_length chain);
-  (* A foreign clear_dirty is the same interloper. *)
-  let chain2, _base2 = Os.Snapshot.start_chain sys in
-  Hw.Memory.clear_dirty (machine_mem sys);
-  let before = Trace.Counters.snapshots_written c in
-  (match Os.Snapshot.capture_delta sys chain2 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capture_delta survived a foreign clear_dirty");
-  Alcotest.(check int) "rollback after foreign clear too" before
-    (Trace.Counters.snapshots_written c);
-  (* A fresh chain recovers: the system itself is unharmed. *)
-  let chain3, base3 = Os.Snapshot.start_chain sys in
-  let d = Os.Snapshot.capture_delta sys chain3 in
-  match Os.Snapshot.flatten ~base:base3 [ d ] with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "fresh chain flatten: %a" Os.Snapshot.pp_error e
+  Alcotest.(check int) "refused delta did not advance the chain" length
+    (Os.Snapshot.chain_length chain)
 
 let test_journal_line_roundtrip () =
   let record = { Hw.Journal.seq = 7; codes = [ 114; 105; 110 ] } in
@@ -673,7 +711,7 @@ let suite =
           `Quick test_chain_rejections;
         Alcotest.test_case "rebase folds and continues the chain" `Quick
           test_rebase_continues_the_chain;
-        Alcotest.test_case "interlopers poison the chain, not the counter"
-          `Quick test_chain_interlopers_and_counter_rollback;
+        Alcotest.test_case "chain survives interlopers"
+          `Quick test_chain_survives_interlopers_and_counter_rollback;
       ] );
   ]

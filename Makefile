@@ -373,59 +373,12 @@ migrate-smoke:
 	done
 	@echo "migrate-smoke: fleet section invariant under migration, restarts and autoscaling; zero dropped requests"
 
-# Capability backend: a cap-mode run must be byte-deterministic, the
-# whole example-program catalog must run under --backend cap, an
-# unknown backend must be a usage error, a cap-mode fleet must be
-# deterministic and shard-count invariant, and the bench's backends
-# section must be well-formed.
+# Capability backend: cap-mode determinism, the example catalog, the
+# unknown-backend usage error, the fleet's shard-count invariance and
+# the bench's backends section.  The checks live in the cram test
+# test/cram/cap_smoke.t, which `dune runtest` also runs.
 cap-smoke:
-	dune build bin/ringsim.exe bin/jsoncheck.exe
-	@rm -rf /tmp/cap_smoke && mkdir -p /tmp/cap_smoke
-	@for run in a b; do \
-	  _build/default/bin/ringsim.exe examples/programs/demo.rng \
-	    --backend cap > /tmp/cap_smoke/run_$$run.out \
-	    || { echo "cap-smoke: cap-mode run failed"; exit 1; }; \
-	done
-	@diff /tmp/cap_smoke/run_a.out /tmp/cap_smoke/run_b.out \
-	  || { echo "cap-smoke: cap-mode run DIFFERS between runs"; exit 1; }
-	@for p in echo journal multiproc; do \
-	  _build/default/bin/ringsim.exe examples/programs/$$p.rng --backend cap \
-	    > /tmp/cap_smoke/$$p.out \
-	    || { echo "cap-smoke: $$p.rng failed under --backend cap"; exit 1; }; \
-	done
-	@_build/default/bin/ringsim.exe examples/programs/audited.rng \
-	  --backend cap --start reader > /tmp/cap_smoke/audited.out \
-	  || { echo "cap-smoke: audited.rng failed under --backend cap"; exit 1; }
-	@_build/default/bin/ringsim.exe examples/programs/demo.rng --backend bogus \
-	  > /dev/null 2>&1; \
-	  test $$? -eq 2 \
-	  || { echo "cap-smoke: unknown backend did not exit 2"; exit 1; }
-	@for run in a b; do \
-	  _build/default/bin/ringsim.exe serve --shards 2 --requests 200 --seed 7 \
-	    --queue-cap 256 --backend cap \
-	    --report-json /tmp/cap_smoke/s2_$$run.json \
-	    > /tmp/cap_smoke/s2_$$run.out \
-	    || { echo "cap-smoke: cap-mode fleet run failed"; exit 1; }; \
-	done
-	_build/default/bin/jsoncheck.exe /tmp/cap_smoke/s2_a.json
-	@for f in json out; do \
-	  diff /tmp/cap_smoke/s2_a.$$f /tmp/cap_smoke/s2_b.$$f \
-	    || { echo "cap-smoke: cap-mode fleet $$f DIFFERS between runs"; exit 1; }; \
-	done
-	@_build/default/bin/ringsim.exe serve --shards 4 --requests 200 --seed 7 \
-	  --queue-cap 256 --backend cap --report-json /tmp/cap_smoke/s4.json \
-	  > /tmp/cap_smoke/s4.out \
-	  || { echo "cap-smoke: 4-shard cap fleet run failed"; exit 1; }
-	@sed -n '/"fleet"/,/"dispatch"/p' /tmp/cap_smoke/s2_a.json \
-	  > /tmp/cap_smoke/fleet2
-	@sed -n '/"fleet"/,/"dispatch"/p' /tmp/cap_smoke/s4.json \
-	  > /tmp/cap_smoke/fleet4
-	@diff /tmp/cap_smoke/fleet2 /tmp/cap_smoke/fleet4 \
-	  || { echo "cap-smoke: cap fleet section depends on the shard count"; exit 1; }
-	_build/default/bin/jsoncheck.exe BENCH_throughput.json
-	@grep -q '"backends"' BENCH_throughput.json \
-	  || { echo "cap-smoke: bench backends section missing"; exit 1; }
-	@echo "cap-smoke: cap-mode runs deterministic, fleet shard-invariant, catalog green, backends section valid"
+	dune build @test/cram/cap_smoke
 
 examples:
 	@for e in quickstart protected_subsystem layered_supervisor debug_ring \

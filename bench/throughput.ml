@@ -13,36 +13,48 @@ type sample = {
   seconds : float;
   ips : float;
   cycles : int;
+  words_per_instr : float;
+      (* [Gc.minor_words] per retired instruction over the run: the
+         interpreter's allocation rate, a deterministic proxy for its
+         speed. *)
   snapshot : Trace.Counters.snapshot;
 }
 
-(* [clock] defaults to wall-clock time; the trace-overhead gate passes
-   process CPU time instead. *)
-let run_workload ?(clock = Unix.gettimeofday) ~name ~max_instructions build =
+(* Run a booted workload to exit and time it.  [clock] defaults to
+   wall-clock time; the trace-overhead gate passes process CPU time
+   instead. *)
+let measure ?(clock = Unix.gettimeofday) ~name ~max_instructions p =
+  let c = p.Os.Process.machine.Isa.Machine.counters in
+  let i0 = Trace.Counters.instructions c in
+  let w0 = Gc.minor_words () in
+  let t0 = clock () in
+  let exit = Os.Kernel.run ~max_instructions p in
+  let dt = clock () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  (match exit with
+  | Os.Kernel.Exited -> ()
+  | e ->
+      failwith
+        (Format.asprintf "%s: did not exit cleanly: %a" name Os.Kernel.pp_exit
+           e));
+  let instructions = Trace.Counters.instructions c - i0 in
+  {
+    name;
+    instructions;
+    seconds = dt;
+    ips = float_of_int instructions /. dt;
+    cycles = Trace.Counters.cycles c;
+    words_per_instr = words /. float_of_int instructions;
+    snapshot = Trace.Counters.snapshot c;
+  }
+
+let boot ~name build =
   match build () with
   | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
-  | Ok p ->
-      let m = p.Os.Process.machine in
-      let c = m.Isa.Machine.counters in
-      let i0 = Trace.Counters.instructions c in
-      let t0 = clock () in
-      let exit = Os.Kernel.run ~max_instructions p in
-      let dt = clock () -. t0 in
-      (match exit with
-      | Os.Kernel.Exited -> ()
-      | e ->
-          failwith
-            (Format.asprintf "%s: did not exit cleanly: %a" name
-               Os.Kernel.pp_exit e));
-      let instructions = Trace.Counters.instructions c - i0 in
-      {
-        name;
-        instructions;
-        seconds = dt;
-        ips = float_of_int instructions /. dt;
-        cycles = Trace.Counters.cycles c;
-        snapshot = Trace.Counters.snapshot c;
-      }
+  | Ok p -> p
+
+let run_workload ?clock ~name ~max_instructions build =
+  measure ?clock ~name ~max_instructions (boot ~name build)
 
 (* The standard workloads, scaled up far enough that per-run setup is
    noise and steady-state cache behaviour dominates. *)
@@ -149,33 +161,12 @@ let run_span_workload ~name build =
    spans and profile.  Modeled cycles must not move; host instr/sec
    pays the instrumentation cost, and the ratio is what we track. *)
 let run_traced ~clock ~name ~max_instructions build =
-  match build () with
-  | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
-  | Ok p ->
-      let m = p.Os.Process.machine in
-      Trace.Event.set_enabled m.Isa.Machine.log true;
-      Trace.Span.set_enabled m.Isa.Machine.spans true;
-      Trace.Profile.set_enabled m.Isa.Machine.profile true;
-      let c = m.Isa.Machine.counters in
-      let i0 = Trace.Counters.instructions c in
-      let t0 = clock () in
-      let exit = Os.Kernel.run ~max_instructions p in
-      let dt = clock () -. t0 in
-      (match exit with
-      | Os.Kernel.Exited -> ()
-      | e ->
-          failwith
-            (Format.asprintf "%s: did not exit cleanly: %a" name
-               Os.Kernel.pp_exit e));
-      let instructions = Trace.Counters.instructions c - i0 in
-      {
-        name;
-        instructions;
-        seconds = dt;
-        ips = float_of_int instructions /. dt;
-        cycles = Trace.Counters.cycles c;
-        snapshot = Trace.Counters.snapshot c;
-      }
+  let p = boot ~name build in
+  let m = p.Os.Process.machine in
+  Trace.Event.set_enabled m.Isa.Machine.log true;
+  Trace.Span.set_enabled m.Isa.Machine.spans true;
+  Trace.Profile.set_enabled m.Isa.Machine.profile true;
+  measure ~clock ~name ~max_instructions p
 
 (* Host-time budget for full tracing.  The event hot path is an
    integer-cell arena write (no variant, no string, no formatting —
@@ -200,6 +191,32 @@ let trace_overhead_pairs = 9
    so the tolerance below (a few words for the [Gc.minor_words] float
    boxes themselves) is orders of magnitude away from a real leak. *)
 let alloc_tolerance_words = 64.0
+
+(* The interpreter's per-instruction allocation budget, in minor words
+   per retired instruction — deterministic, unlike instr/sec, so it
+   gates what the host timings can only suggest.  The instruction cycle
+   itself allocates nothing on a memo hit; what remains is the
+   register values some instructions build (EAP's pointer, CALL's IPR
+   and PR0) and the kernel's fault handling.  The 645 crossing is
+   reported but not gated: its gatekeeper builds descriptor segments
+   and allocates per crossing by design. *)
+let alloc_budget_words = 6.0
+let alloc_gated = [ "crossing-hw"; "same-ring"; "paged-crossing" ]
+
+let check_alloc_budget samples =
+  List.iter
+    (fun s ->
+      if List.mem s.name alloc_gated && s.words_per_instr > alloc_budget_words
+      then
+        failwith
+          (Printf.sprintf
+             "interpreter allocates %.2f minor words per instruction on %s \
+              (budget %.1f)"
+             s.words_per_instr s.name alloc_budget_words))
+    samples;
+  Printf.printf "alloc budget - %s: at most %.1f minor words/instr, held\n"
+    (String.concat ", " alloc_gated)
+    alloc_budget_words
 
 let run_alloc_smoke () =
   let log = Trace.Event.create_log ~capacity:256 () in
@@ -240,40 +257,16 @@ let run_alloc_smoke () =
    rules is polled between instructions but may change neither the
    modeled cycles nor (measurably) the host throughput. *)
 let run_idle_injector ~clock ~name ~max_instructions build =
-  match build () with
-  | Error e -> failwith (Printf.sprintf "%s: build failed: %s" name e)
-  | Ok p ->
-      let m = p.Os.Process.machine in
-      let inj =
-        Hw.Inject.create
-          { (Hw.Inject.default_plan ~seed:0) with Hw.Inject.rules = [] }
-      in
-      List.iter
-        (fun (base, len) ->
-          Hw.Inject.register_descriptor_range inj ~base ~len)
-        (Os.Process.descriptor_ranges p);
-      Isa.Machine.attach_injector m inj;
-      let c = m.Isa.Machine.counters in
-      let i0 = Trace.Counters.instructions c in
-      let t0 = clock () in
-      let exit = Os.Kernel.run ~max_instructions p in
-      let dt = clock () -. t0 in
-      (match exit with
-      | Os.Kernel.Exited -> ()
-      | e ->
-          failwith
-            (Format.asprintf "%s: did not exit cleanly: %a" name
-               Os.Kernel.pp_exit e));
-      let instructions = Trace.Counters.instructions c - i0 in
-      {
-        name;
-        instructions;
-        seconds = dt;
-        ips = float_of_int instructions /. dt;
-        cycles = Trace.Counters.cycles c;
-        snapshot = Trace.Counters.snapshot c;
-      }
-
+  let p = boot ~name build in
+  let inj =
+    Hw.Inject.create
+      { (Hw.Inject.default_plan ~seed:0) with Hw.Inject.rules = [] }
+  in
+  List.iter
+    (fun (base, len) -> Hw.Inject.register_descriptor_range inj ~base ~len)
+    (Os.Process.descriptor_ranges p);
+  Isa.Machine.attach_injector p.Os.Process.machine inj;
+  measure ~clock ~name ~max_instructions p
 
 (* Checkpoint overhead: the same two-process workload run plain and
    with periodic Os.Snapshot captures.  Capture must be free in
@@ -744,9 +737,10 @@ let json_of_samples samples span_samples ~traced ~untraced ~idle
         (Printf.sprintf
            "    {\"name\": %S, \"instructions\": %d, \"seconds\": %.6f, \
             \"instructions_per_sec\": %.0f, \"modeled_cycles\": %d, \
+            \"minor_words_per_instr\": %.2f, \
             \"sdw_cache_hit_pct\": %s, \"ptw_cache_hit_pct\": %s, \
             \"icache_hit_pct\": %s}"
-           s.name s.instructions s.seconds s.ips s.cycles
+           s.name s.instructions s.seconds s.ips s.cycles s.words_per_instr
            (pct_json (pct hits (hits + misses)))
            (pct_json (pct phits (phits + pmisses)))
            (pct_json (pct ihits (ihits + imisses)))))
@@ -909,6 +903,7 @@ let throughput () =
           ("instructions", Trace.Tablefmt.Right);
           ("host seconds", Trace.Tablefmt.Right);
           ("instr/sec", Trace.Tablefmt.Right);
+          ("words/instr", Trace.Tablefmt.Right);
           ("SDW cache hit%", Trace.Tablefmt.Right);
           ("PTW cache hit%", Trace.Tablefmt.Right);
           ("icache hit%", Trace.Tablefmt.Right);
@@ -925,6 +920,7 @@ let throughput () =
           string_of_int s.instructions;
           Printf.sprintf "%.3f" s.seconds;
           Printf.sprintf "%.0f" s.ips;
+          Printf.sprintf "%.2f" s.words_per_instr;
           pct_cell (pct hits (hits + misses));
           pct_cell (pct phits (phits + pmisses));
           pct_cell (pct ihits (ihits + imisses));
@@ -932,6 +928,7 @@ let throughput () =
     samples;
   Trace.Tablefmt.print
     ~title:"Throughput - host instructions/sec on the scenario workloads" t;
+  check_alloc_budget samples;
   print_newline ();
   let span_samples =
     List.map

@@ -26,7 +26,11 @@ let instruction ?(symbols = []) (i : Isa.Instr.t) =
          i.Isa.Instr.xr);
   (match i.Isa.Instr.base with
   | Isa.Instr.Immediate ->
-      Buffer.add_string buf (Printf.sprintf " =%d" i.Isa.Instr.offset)
+      (* The field is 18-bit two's complement; render the value the
+         operand takes, which is also what the assembler accepts. *)
+      let v = i.Isa.Instr.offset in
+      let v = if v land (1 lsl 17) <> 0 then v - (1 lsl 18) else v in
+      Buffer.add_string buf (Printf.sprintf " =%d" v)
   | Isa.Instr.Ipr_relative ->
       if
         i.Isa.Instr.offset <> 0

@@ -14,8 +14,8 @@ let lowest_privilege = count - 1
 let all = List.init count Fun.id
 let compare = Int.compare
 let equal = Int.equal
-let max = Stdlib.max
-let min = Stdlib.min
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
 let more_privileged a ~than:b = a < b
 let succ n = if n + 1 >= count then None else Some (n + 1)
 let pred n = if n = 0 then None else Some (n - 1)

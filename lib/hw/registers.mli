@@ -13,9 +13,10 @@
     - A, Q: accumulators; X0..X7: 18-bit index registers; indicator
       flags from the last arithmetic result.
 
-    The TPR is {e not} here: it is internal to the processor and
-    exists only during effective-address formation (see
-    {!Isa.Eff_addr}). *)
+    The TPR is {e not} here: it is internal to the processor, lives
+    in the machine ([Isa.Machine.tpr_ring] and siblings) and holds a
+    value only while an instruction forms and uses its operand
+    address (see {!Isa.Eff_addr}). *)
 
 type ptr = { ring : Rings.Ring.t; addr : Addr.t }
 (** Contents of IPR or a PRn: a validation ring and a two-part

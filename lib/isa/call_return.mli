@@ -13,20 +13,14 @@
     the current ring's descriptor segment faults to the software
     gatekeeper ({!Os.Softrings}). *)
 
-val call :
-  Machine.t ->
-  effective:Rings.Effective_ring.t ->
-  addr:Hw.Addr.t ->
-  (unit, Rings.Fault.t) result
-(** Validate and perform a CALL whose effective address is [addr] with
-    effective ring [effective].  On success IPR and PR0 are updated
-    and the appropriate crossing counter bumped.  An upward call
-    returns [Error (Upward_call _)] (software intervention); other
-    errors are access violations. *)
+val call : Machine.t -> unit
+(** Validate and perform a CALL to the address in TPR, with effective
+    ring TPR.RING.  On success IPR and PR0 are updated and the
+    appropriate crossing counter bumped.  An upward call raises
+    [Machine.Fault (Upward_call _)] (software intervention); other
+    faults are access violations.  For the instruction cycle: faults
+    are raised, never returned. *)
 
-val retn :
-  Machine.t ->
-  effective:Rings.Effective_ring.t ->
-  addr:Hw.Addr.t ->
-  (unit, Rings.Fault.t) result
-(** Validate and perform a RETURN to [addr] in ring [effective]. *)
+val retn : Machine.t -> unit
+(** Validate and perform a RETURN to the address in TPR, in ring
+    TPR.RING. *)

@@ -1,134 +1,128 @@
 type outcome = Running | Halted | Faulted of Rings.Fault.t
 
-let ( let* ) = Result.bind
+(* One instruction, Figs. 4–9: retrieve it (the fetch memo covers
+   translation, the execute-bracket validation, the word read and the
+   decode), advance IPR, form the operand address in TPR, perform.
+   Faults are raised as [Machine.Fault] and caught by [step_unprofiled]
+   below. *)
+let cycle m =
+  let regs = m.Machine.regs in
+  let at = regs.Hw.Registers.ipr in
+  let fetched = Machine.fetch_exn m in
+  let instr = fetched.Machine.f_instr in
+  Trace.Counters.bump_instructions m.Machine.counters;
+  Trace.Counters.charge m.Machine.counters Hw.Costs.instruction_overhead;
+  (* All event construction sits behind the enabled check, and the
+     enabled path is a few unboxed stores — no disassembly, no variant:
+     the text is re-decoded lazily at export from the segment image
+     (Machine registers the resolver). *)
+  if Trace.Event.enabled m.Machine.log then
+    Trace.Event.record_instruction m.Machine.log
+      ~ring:(Rings.Ring.to_int at.Hw.Registers.ring)
+      ~segno:at.Hw.Registers.addr.Hw.Addr.segno
+      ~wordno:at.Hw.Registers.addr.Hw.Addr.wordno;
+  (* Advance IPR before executing so transfers and TSX see the address
+     of the next sequential instruction. *)
+  regs.Hw.Registers.ipr <- fetched.Machine.f_next;
+  Exec.execute m instr (Eff_addr.form m instr)
 
-(* Fig. 4: retrieve the next instruction, validating the execute
-   bracket as the SDW becomes available during address translation.
-   The whole sequence — translation, validation, word read, decode —
-   is memoized by the machine's fetch cache. *)
-let fetch m = Machine.fetch_instr m
+(* Trap entry.  With a simulated supervisor configured the processor
+   has transferred to its vector, and execution continues there. *)
+let deliver m ~at fault =
+  Machine.take_fault m ~at fault;
+  if m.Machine.trap_config = None then Faulted fault else Running
 
-let step_unprofiled m =
-  if m.Machine.halted then Halted
-  else begin
-    let regs = m.Machine.regs in
-    let at = regs.Hw.Registers.ipr in
-    let result =
-      let* instr = fetch m in
-      Trace.Counters.bump_instructions m.Machine.counters;
-      Trace.Counters.charge m.Machine.counters Hw.Costs.instruction_overhead;
-      (* All event construction sits behind the enabled check, and the
-         enabled path is a few unboxed stores — no disassembly, no
-         variant: the text is re-decoded lazily at export from the
-         segment image (Machine registers the resolver). *)
-      if Trace.Event.enabled m.Machine.log then
-        Trace.Event.record_instruction m.Machine.log
-          ~ring:(Rings.Ring.to_int at.Hw.Registers.ring)
-          ~segno:at.Hw.Registers.addr.Hw.Addr.segno
-          ~wordno:at.Hw.Registers.addr.Hw.Addr.wordno;
-      (* Advance IPR before executing so transfers and TSX see the
-         address of the next sequential instruction. *)
-      regs.Hw.Registers.ipr <-
-        {
-          at with
-          Hw.Registers.addr = Hw.Addr.offset at.Hw.Registers.addr 1;
-        };
-      let* operand = Eff_addr.compute m instr in
-      Exec.perform m instr operand
-    in
-    match result with
-    | Ok Exec.Continue when m.Machine.inhibit ->
-        (* Interrupts are inhibited between a trap and its RTRAP: the
-           timer and channel completions wait. *)
-        Running
-    | Ok Exec.Continue -> (
-        (* Injected faults are asynchronous, like the timer and channel
-           completions: they fire between instructions and honour the
-           same inhibit discipline (the poll above only runs on this
-           uninhibited branch, so a fault due during a handler waits
-           for RTRAP).  Delivery opens a Recovery span that the kernel
-           closes at its recovery decision. *)
-        match Machine.poll_injection m with
-        | Some fault ->
-            if Trace.Span.enabled m.Machine.spans then
-              Trace.Span.open_span m.Machine.spans ~kind:Trace.Event.Recovery
-                ~from_ring:(Rings.Ring.to_int (Machine.ring m))
-                ~to_ring:(Rings.Ring.to_int (Machine.ring m))
-                ~segno:regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.segno
-                ~wordno:regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno
-                ~cycles:(Trace.Counters.cycles m.Machine.counters);
-            Machine.take_fault m ~at:regs.Hw.Registers.ipr fault;
-            if m.Machine.trap_config = None then Faulted fault else Running
-        | None -> (
-        (* The arena's billing ceiling is asynchronous in the same
-           sense: it derails the stream between instructions, so a
-           quarantined tenant's saved state sits at an instruction
-           boundary.  Detached ([None], the default) it costs one
-           option test per step. *)
-        match m.Machine.cycle_limit with
-        | Some limit
-          when Trace.Counters.cycles m.Machine.counters >= limit ->
-            m.Machine.cycle_limit <- None;
-            let fault =
-              Rings.Fault.Quota_exhausted { resource = "cycles"; limit }
-            in
-            Machine.take_fault m ~at:regs.Hw.Registers.ipr fault;
-            if m.Machine.trap_config = None then Faulted fault else Running
-        | _ -> (
-        (* Channel I/O completes between instructions. *)
-        (match m.Machine.io_countdown with
-        | Some n when n > 1 -> m.Machine.io_countdown <- Some (n - 1)
-        | _ -> ());
-        match m.Machine.io_countdown with
-        | Some 1 ->
-            m.Machine.io_countdown <- None;
-            (* An injected channel failure surfaces at completion
-               time: the request stays posted so the supervisor can
-               retry the transfer. *)
+(* Between instructions the saved state addresses the next one. *)
+let deliver_between m fault =
+  deliver m ~at:m.Machine.regs.Hw.Registers.ipr fault
+
+(* A Recovery span opens where an injected fault is delivered; the
+   kernel closes it at its recovery decision. *)
+let open_recovery_span m =
+  if Trace.Span.enabled m.Machine.spans then begin
+    let ring = Rings.Ring.to_int (Machine.ring m) in
+    let ipr = m.Machine.regs.Hw.Registers.ipr in
+    Trace.Span.open_span m.Machine.spans ~kind:Trace.Event.Recovery
+      ~from_ring:ring ~to_ring:ring ~segno:ipr.Hw.Registers.addr.Hw.Addr.segno
+      ~wordno:ipr.Hw.Registers.addr.Hw.Addr.wordno
+      ~cycles:(Trace.Counters.cycles m.Machine.counters)
+  end
+
+(* The between-instruction chain, run only when [Machine.next_event]
+   falls due at the boundary about to be counted.  The injection poll
+   and the cycle ceiling act before the countdowns see the boundary, so
+   a fault either delivers leaves them untouched; an I/O completion
+   keeps the boundary from the timer. *)
+let[@inline never] between_instructions m =
+  (* Injected faults are asynchronous, like the timer and channel
+     completions: they fire between instructions and honour the same
+     inhibit discipline (the chain never runs under inhibit, so a fault
+     due during a handler waits for RTRAP). *)
+  match Machine.poll_injection m with
+  | Some fault ->
+      open_recovery_span m;
+      deliver_between m fault
+  | None -> (
+      match Machine.cycle_limit m with
+      | Some limit when Trace.Counters.cycles m.Machine.counters >= limit ->
+          (* The arena's billing ceiling derails the stream between
+             instructions, so a quarantined tenant's saved state sits at
+             an instruction boundary. *)
+          Machine.set_cycle_limit m None;
+          deliver_between m
+            (Rings.Fault.Quota_exhausted { resource = "cycles"; limit })
+      | _ ->
+          let ticks = m.Machine.ticks + 1 in
+          if ticks >= m.Machine.io_at then begin
+            (* Channel I/O completes between instructions.  An injected
+               channel failure surfaces at completion time: the request
+               stays posted so the supervisor can retry the transfer. *)
+            Machine.set_io_countdown m None;
             let fault =
               if m.Machine.io_fail_pending then begin
                 m.Machine.io_fail_pending <- false;
-                if Trace.Span.enabled m.Machine.spans then
-                  Trace.Span.open_span m.Machine.spans
-                    ~kind:Trace.Event.Recovery
-                    ~from_ring:(Rings.Ring.to_int (Machine.ring m))
-                    ~to_ring:(Rings.Ring.to_int (Machine.ring m))
-                    ~segno:
-                      regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.segno
-                    ~wordno:
-                      regs.Hw.Registers.ipr.Hw.Registers.addr.Hw.Addr.wordno
-                    ~cycles:(Trace.Counters.cycles m.Machine.counters);
+                open_recovery_span m;
                 Rings.Fault.Io_error
               end
               else Rings.Fault.Io_completion
             in
-            Machine.take_fault m ~at:regs.Hw.Registers.ipr fault;
-            if m.Machine.trap_config = None then Faulted fault else Running
-        | _ -> (
-        (* The interval timer ticks once per retired instruction and
-           fires between instructions, so the saved state addresses
-           the next one. *)
-        match m.Machine.timer with
-        | Some n when n <= 1 ->
-            m.Machine.timer <- None;
-            let fault = Rings.Fault.Timer_runout in
-            Machine.take_fault m ~at:regs.Hw.Registers.ipr fault;
-            if m.Machine.trap_config = None then Faulted fault else Running
-        | Some n ->
-            m.Machine.timer <- Some (n - 1);
+            deliver_between m fault
+          end
+          else begin
+            m.Machine.ticks <- ticks;
+            if ticks >= m.Machine.timer_at then begin
+              (* The interval timer ticks once per retired instruction
+                 and fires between instructions. *)
+              Machine.set_timer m None;
+              deliver_between m Rings.Fault.Timer_runout
+            end
+            else Running
+          end)
+
+let step_unprofiled m =
+  if m.Machine.halted then Halted
+  else
+    let at = m.Machine.regs.Hw.Registers.ipr in
+    match cycle m with
+    | Exec.Continue ->
+        (* Interrupts are inhibited between a trap and its RTRAP: the
+           timer, channel completions and injected faults wait. *)
+        if m.Machine.inhibit then Running
+        else begin
+          let ticks = m.Machine.ticks + 1 in
+          if ticks >= m.Machine.next_event then between_instructions m
+          else begin
+            m.Machine.ticks <- ticks;
             Running
-        | None -> Running))))
-    | Ok Exec.Halt ->
+          end
+        end
+    | Exec.Halt ->
         m.Machine.halted <- true;
         Halted
-    | Error fault ->
-        Machine.take_fault m ~at fault;
-        if m.Machine.trap_config = None then Faulted fault
-        else
-          (* The processor transferred to the simulated supervisor's
-             vector; execution continues there. *)
-          Running
-  end
+    | exception Machine.Fault fault ->
+        (* The one place a fault raised inside the cycle is caught; the
+           saved state addresses the disrupted instruction. *)
+        deliver m ~at fault
 
 (* Profile attribution wraps the whole step so the cycle delta covers
    everything the instruction caused — address formation, execution,

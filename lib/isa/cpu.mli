@@ -7,7 +7,13 @@
     state (with IPR pointing at the disrupted instruction) is saved in
     the machine for the privileged RTRAP instruction to restore, and
     [step] reports the fault so a supervisor — simulated or host-level
-    ({!Os.Kernel}) — can service it. *)
+    ({!Os.Kernel}) — can service it.
+
+    Inside the cycle a fault travels as {!Machine.Fault}; [step] is
+    the one place it is caught, and it never escapes [step].  Between
+    instructions, one comparison of [Machine.ticks] with
+    [Machine.next_event] decides whether the event chain (injection
+    poll, cycle ceiling, I/O completion, timer) has anything due. *)
 
 type outcome =
   | Running

@@ -27,5 +27,20 @@ val encode : t -> Hw.Word.t
 val decode : Hw.Word.t -> t
 (** Total: every 36-bit word decodes to some indirect word. *)
 
+val encode_ptr : Hw.Registers.ptr -> Hw.Word.t
+(** [encode (of_ptr p)] without building the record: what SPR
+    stores. *)
+
+(** {1 Field readers}
+
+    Each reads one field of a raw indirect word, so effective-address
+    formation can follow an indirection chain without decoding a
+    record per link. *)
+
+val word_ring : Hw.Word.t -> Rings.Ring.t
+val word_indirect : Hw.Word.t -> bool
+val word_segno : Hw.Word.t -> int
+val word_wordno : Hw.Word.t -> int
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -59,26 +59,45 @@ let fetch_key ~base ~ring ~segno ~wordno =
   (((base lsl Hw.Addr.segno_bits) lor segno) lsl 21)
   lor (ring lsl 18) lor wordno
 
+(* Faults inside the instruction cycle travel as one exception,
+   raised without a backtrace and caught once, where {!Cpu.step} hands
+   the fault to [take_fault].  The result-returning functions below are
+   thin wrappers for callers outside the cycle. *)
+exception Fault of Rings.Fault.t
+
+let[@inline never] raise_fault f = raise_notrace (Fault f)
+let[@inline] check = function Ok () -> () | Error f -> raise_fault f
+let catch f = match f () with v -> Ok v | exception Fault e -> Error e
+
 (* An instruction cached with the generation current at fill time;
    stale generations (descriptor writes, page-table writes,
    invalidations, modeled-cache flushes) make every older entry miss
    without a scan.  [f_paged] records which modeled walk to replay.
-   The prebuilt result is stored so a hit allocates nothing. *)
+   [f_next] is the IPR of the next sequential instruction, prebuilt so
+   advancing IPR on a hit allocates nothing. *)
 type fetch_entry = {
-  f_res : (Instr.t, Rings.Fault.t) result;
+  f_instr : Instr.t;
+  f_next : Hw.Registers.ptr;
   f_gen : int;
   f_paged : bool;
 }
 
 (* Same idea for whole address translations: a generation-current hit
-   returns the prebuilt [Ok (sdw, abs)] and replays the modeled
-   activity of the walk that filled it.  Keyed by packed (DBR base,
-   segno, wordno) — faults are never cached. *)
+   returns the entry itself and replays the modeled activity of the
+   walk that filled it.  Keyed by packed (DBR base, segno, wordno) —
+   faults are never cached.  [r_ptr] remembers the last IPR value a
+   transfer built to this address, so a loop's backward branch reuses
+   it. *)
 type resolve_entry = {
-  r_res : (Hw.Sdw.t * int, Rings.Fault.t) result;
+  r_sdw : Hw.Sdw.t;
+  r_abs : int;
   r_gen : int;
   r_paged : bool;
+  mutable r_ptr : Hw.Registers.ptr;
 }
+
+let no_ptr =
+  { Hw.Registers.ring = Rings.Ring.r0; addr = Hw.Addr.v ~segno:0 ~wordno:0 }
 
 let resolve_key ~base ~segno ~wordno =
   (((base lsl Hw.Addr.segno_bits) lor segno) lsl 18) lor wordno
@@ -103,16 +122,19 @@ let resolve_index key = slot_index key
 
 let dummy_fetch_entry =
   {
-    f_res = Error Rings.Fault.No_execute_permission;
+    f_instr = Instr.v Opcode.NOP;
+    f_next = no_ptr;
     f_gen = min_int;
     f_paged = false;
   }
 
 let dummy_resolve_entry =
   {
-    r_res = Error Rings.Fault.No_read_permission;
+    r_sdw = Hw.Sdw.absent;
+    r_abs = 0;
     r_gen = min_int;
     r_paged = false;
+    r_ptr = no_ptr;
   }
 
 (* Which host caches watch an absolute address, one byte per memory
@@ -139,8 +161,6 @@ type t = {
   use_r1_in_indirection : bool;
   mutable halted : bool;
   mutable saved : saved_state option;
-  mutable timer : int option;
-  mutable io_countdown : int option;
   mutable io_request : io_request option;
   mutable inhibit : bool;
   mutable trap_config : trap_config option;
@@ -163,9 +183,20 @@ type t = {
   mutable degraded : bool;
   mutable io_fail_pending : bool;
   mutable on_recovery : Rings.Fault.t -> unit;
-  mutable cycle_limit : int option;
   mutable cap_stack : Cap.Capability.sealed_return list;
+  mutable tpr_ring : Rings.Effective_ring.t;
+  mutable tpr_segno : int;
+  mutable tpr_wordno : int;
+  mutable tpr_imm : Hw.Word.t;
+  mutable ticks : int;
+  mutable next_event : int;
+  mutable timer_at : int;
+  mutable io_at : int;
+  mutable limit_at : int;
 }
+
+(* Deadline sentinel for the between-instruction events: never due. *)
+let no_event = max_int
 
 let cache_capacity = 64
 let sdw_cache_entries = 512
@@ -305,8 +336,6 @@ let create ?(mode = Ring_hardware)
       use_r1_in_indirection;
       halted = false;
       saved = None;
-      timer = None;
-      io_countdown = None;
       io_request = None;
       inhibit = false;
       trap_config = None;
@@ -329,8 +358,16 @@ let create ?(mode = Ring_hardware)
       degraded = false;
       io_fail_pending = false;
       on_recovery = (fun _ -> ());
-      cycle_limit = None;
       cap_stack = [];
+      tpr_ring = Rings.Effective_ring.start Rings.Ring.r0;
+      tpr_segno = 0;
+      tpr_wordno = 0;
+      tpr_imm = 0;
+      ticks = 0;
+      next_event = no_event;
+      timer_at = no_event;
+      io_at = no_event;
+      limit_at = no_event;
     }
   in
   (* The capability machine carries validity tags on memory words;
@@ -415,30 +452,26 @@ let sync_dbr_base t base =
    the words always demotes the modeled tag first (the write
    observer), forcing the checked refill. *)
 let check_sdw_tags t (dbr : Hw.Registers.dbr) ~segno =
-  if t.mode <> Ring_capability then Ok ()
-  else begin
+  if t.mode = Ring_capability then begin
     let a0 = dbr.Hw.Registers.base + (Hw.Descriptor.words_per_sdw * segno) in
     if not (Hw.Memory.tagged t.mem a0) then
-      Error (Rings.Fault.Cap_tag_violation { addr = a0; segno })
+      raise_fault (Rings.Fault.Cap_tag_violation { addr = a0; segno })
     else if not (Hw.Memory.tagged t.mem (a0 + 1)) then
-      Error (Rings.Fault.Cap_tag_violation { addr = a0 + 1; segno })
-    else Ok ()
+      raise_fault (Rings.Fault.Cap_tag_violation { addr = a0 + 1; segno })
   end
+
+let sdw_or_raise = function Ok sdw -> sdw | Error f -> raise_fault f
 
 (* Modeled hit whose host-side decode was invalidated by a write:
    refetch silently and heal the tag.  The modeled activity is the hit
    already bumped by the caller — nothing further is charged. *)
 let refill_tag t dbr ~base ~segno key =
   Trace.Counters.bump_sdw_cache_misses t.counters;
-  match Hw.Descriptor.fetch_sdw_silent t.mem dbr ~segno with
-  | Error _ as e -> e
-  | Ok sdw -> (
-      match check_sdw_tags t dbr ~segno with
-      | Error _ as e -> e
-      | Ok () ->
-          Hashtbl.replace t.sdw_tags key sdw;
-          host_insert_sdw t ~base ~segno key sdw;
-          Ok sdw)
+  let sdw = sdw_or_raise (Hw.Descriptor.fetch_sdw_silent t.mem dbr ~segno) in
+  check_sdw_tags t dbr ~segno;
+  Hashtbl.replace t.sdw_tags key sdw;
+  host_insert_sdw t ~base ~segno key sdw;
+  sdw
 
 (* Modeled miss: the two SDW words are read from core — charged as
    memory traffic exactly as before the host cache split.  The host
@@ -458,21 +491,17 @@ let fetch_sdw_miss t dbr ~base ~segno key =
       (* Refreshes recency and re-arms the descriptor-word watches the
          observer may have dropped while only the LRU entry lived. *)
       host_insert_sdw t ~base ~segno key sdw;
-      Ok sdw
-  | Some _ | None -> (
+      sdw
+  | Some _ | None ->
       Trace.Counters.bump_sdw_cache_misses t.counters;
-      match Hw.Descriptor.fetch_sdw t.mem dbr ~segno with
-      | Error _ as e -> e
-      | Ok sdw -> (
-          Trace.Counters.charge t.counters (2 * Hw.Costs.memory_access);
-          match check_sdw_tags t dbr ~segno with
-          | Error _ as e -> e
-          | Ok () ->
-              tag_insert t key sdw;
-              host_insert_sdw t ~base ~segno key sdw;
-              Ok sdw))
+      let sdw = sdw_or_raise (Hw.Descriptor.fetch_sdw t.mem dbr ~segno) in
+      Trace.Counters.charge t.counters (2 * Hw.Costs.memory_access);
+      check_sdw_tags t dbr ~segno;
+      tag_insert t key sdw;
+      host_insert_sdw t ~base ~segno key sdw;
+      sdw
 
-let fetch_sdw t ~segno =
+let fetch_sdw_exn t ~segno =
   let dbr = t.regs.Hw.Registers.dbr in
   let base = dbr.Hw.Registers.base in
   if base <> t.sdw_cache_base then sync_dbr_base t base;
@@ -482,11 +511,13 @@ let fetch_sdw t ~segno =
       (* Modeled hit with a coherent host decode — the hot path. *)
       Trace.Counters.bump_sdw_fetches t.counters;
       Trace.Counters.bump_sdw_cache_hits t.counters;
-      Ok sdw
+      sdw
   | _ ->
       Trace.Counters.bump_sdw_fetches t.counters;
       refill_tag t dbr ~base ~segno key
   | exception Not_found -> fetch_sdw_miss t dbr ~base ~segno key
+
+let fetch_sdw t ~segno = catch (fun () -> fetch_sdw_exn t ~segno)
 
 let invalidate_sdw t ~segno =
   let stale =
@@ -516,7 +547,8 @@ let invalidate_sdw t ~segno =
    as the uncached walk does. *)
 let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
   if not (Hw.Sdw.contains sdw ~wordno) then
-    Error (Rings.Fault.Bound_violation { segno; wordno; bound = sdw.Hw.Sdw.bound })
+    raise_fault
+      (Rings.Fault.Bound_violation { segno; wordno; bound = sdw.Hw.Sdw.bound })
   else begin
     let pageno = Hw.Paging.page_of_wordno wordno in
     Trace.Counters.bump_ptw_fetches t.counters;
@@ -528,7 +560,7 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
     match (if t.degraded then None else Hw.Assoc.find t.ptw_tlb key) with
     | Some v ->
         Trace.Counters.bump_ptw_tlb_hits t.counters;
-        Ok (ptw_value_frame v + Hw.Paging.offset_in_page wordno)
+        ptw_value_frame v + Hw.Paging.offset_in_page wordno
     | None ->
         Trace.Counters.bump_ptw_tlb_misses t.counters;
         let waddr = sdw.Hw.Sdw.base + pageno in
@@ -547,45 +579,45 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
                 Trace.Counters.bump_ptw_tlb_evictions t.counters);
             watch t ~bit:bit_ptw t.ptw_watch waddr key
           end;
-          Ok (frame + Hw.Paging.offset_in_page wordno)
+          frame + Hw.Paging.offset_in_page wordno
         end
-        else Error (Rings.Fault.Missing_page { segno; pageno })
+        else raise_fault (Rings.Fault.Missing_page { segno; pageno })
   end
 
-let resolve_uncached t (addr : Hw.Addr.t) =
-  match fetch_sdw t ~segno:addr.Hw.Addr.segno with
-  | Error _ as e -> e
-  | Ok sdw -> (
-      let translated =
-        if sdw.Hw.Sdw.paged then
-          translate_paged_cached t sdw ~segno:addr.Hw.Addr.segno
-            ~wordno:addr.Hw.Addr.wordno
-        else
-          Hw.Descriptor.translate sdw ~segno:addr.Hw.Addr.segno
-            ~wordno:addr.Hw.Addr.wordno
-      in
-      match translated with Error _ as e -> e | Ok abs -> Ok (sdw, abs))
+let resolve_slow t ~segno ~wordno key =
+  let sdw = fetch_sdw_exn t ~segno in
+  let abs =
+    if sdw.Hw.Sdw.paged then translate_paged_cached t sdw ~segno ~wordno
+    else
+      match Hw.Descriptor.translate sdw ~segno ~wordno with
+      | Ok abs -> abs
+      | Error f -> raise_fault f
+  in
+  let e =
+    {
+      r_sdw = sdw;
+      r_abs = abs;
+      r_gen = t.fetch_gen;
+      r_paged = sdw.Hw.Sdw.paged;
+      r_ptr = no_ptr;
+    }
+  in
+  if not t.degraded then begin
+    let i = resolve_index key in
+    t.resolve_slots.(i) <- key;
+    t.resolve_entries.(i) <- e
+  end;
+  e
 
-let resolve_slow t (addr : Hw.Addr.t) key =
-  let res = resolve_uncached t addr in
-  (match res with
-  | Ok (sdw, _) when not t.degraded ->
-      let i = resolve_index key in
-      t.resolve_slots.(i) <- key;
-      t.resolve_entries.(i) <-
-        { r_res = res; r_gen = t.fetch_gen; r_paged = sdw.Hw.Sdw.paged }
-  | Ok _ | Error _ -> ());
-  res
-
-(* Replay the filling walk's modeled activity: a free SDW fetch from
-   the modeled associative memory, plus — through a page table — the
-   PTW retrieval's counted, charged core read. *)
-let resolve t (addr : Hw.Addr.t) =
+(* The one address-translation path, keyed on plain ints so TPR can
+   drive it without building an address.  A hit replays the filling
+   walk's modeled activity: a free SDW fetch from the modeled
+   associative memory, plus — through a page table — the PTW
+   retrieval's counted, charged core read. *)
+let resolve_exn t ~segno ~wordno =
   let base = t.regs.Hw.Registers.dbr.Hw.Registers.base in
   if base <> t.sdw_cache_base then sync_dbr_base t base;
-  let key =
-    resolve_key ~base ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno
-  in
+  let key = resolve_key ~base ~segno ~wordno in
   let i = resolve_index key in
   if (not t.degraded) && Array.unsafe_get t.resolve_slots i = key then begin
     let e = Array.unsafe_get t.resolve_entries i in
@@ -599,28 +631,52 @@ let resolve t (addr : Hw.Addr.t) =
         Trace.Counters.charge c Hw.Costs.memory_access;
         Trace.Counters.bump_ptw_tlb_hits c
       end;
-      e.r_res
+      e
     end
-    else resolve_slow t addr key
+    else resolve_slow t ~segno ~wordno key
   end
-  else resolve_slow t addr key
+  else resolve_slow t ~segno ~wordno key
+
+let resolve_tpr t = resolve_exn t ~segno:t.tpr_segno ~wordno:t.tpr_wordno
+
+let resolve t (addr : Hw.Addr.t) =
+  match resolve_exn t ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno with
+  | e -> Ok (e.r_sdw, e.r_abs)
+  | exception Fault f -> Error f
+
+(* IPR aimed at the address [e] resolved, in [ring]: the entry keeps
+   the last one built, so a transfer that keeps landing on the same
+   target in the same ring allocates nothing. *)
+let transfer_ptr t e ~ring =
+  let p = e.r_ptr in
+  if p != no_ptr && Rings.Ring.equal p.Hw.Registers.ring ring then p
+  else begin
+    let p =
+      {
+        Hw.Registers.ring;
+        addr = Hw.Addr.v ~segno:t.tpr_segno ~wordno:t.tpr_wordno;
+      }
+    in
+    e.r_ptr <- p;
+    p
+  end
 
 (* Instruction retrieval with a decoded-instruction cache keyed by
    absolute address.  The modeled activity on either path is the one
    memory read the uncached fetch performed; the cache spares the host
    the word read and re-decode.  The write observer drops entries for
    stored-to addresses, so self-modifying code decodes the new word. *)
-let fetch_decoded t abs =
+let fetch_decoded_exn t abs =
   Trace.Counters.bump_memory_reads t.counters;
   Trace.Counters.charge t.counters Hw.Costs.memory_access;
   match (if t.degraded then None else Hw.Assoc.find t.icache abs) with
   | Some instr ->
       Trace.Counters.bump_icache_hits t.counters;
-      Ok instr
+      instr
   | None -> (
       Trace.Counters.bump_icache_misses t.counters;
       match Instr.decode (Hw.Memory.read_silent t.mem abs) with
-      | Error _ as e -> e
+      | Error f -> raise_fault f
       | Ok instr ->
           if not t.degraded then begin
             (match Hw.Assoc.insert t.icache abs instr with
@@ -630,7 +686,9 @@ let fetch_decoded t abs =
               (Char.unsafe_chr
                  (Char.code (Bytes.unsafe_get t.watched abs) lor bit_icache))
           end;
-          Ok instr)
+          instr)
+
+let fetch_decoded t abs = catch (fun () -> fetch_decoded_exn t abs)
 
 let validate_fetch t (sdw : Hw.Sdw.t) ~ring =
   Rings.Backend.validate_fetch t.backend sdw.access ~ring
@@ -645,40 +703,38 @@ let validate_fetch t (sdw : Hw.Sdw.t) ~ring =
    a store into a descriptor segment, an SDW invalidation, a flush
    of the modeled tag store — advances [fetch_gen]; a store over the
    cached word drops the entry itself via [fetch_watch]. *)
-let fetch_instr_slow t (ipr : Hw.Registers.ptr) key =
+let fetch_slow t (ipr : Hw.Registers.ptr) key =
   let addr = ipr.Hw.Registers.addr in
-  match resolve t addr with
-  | Error _ as e -> e
-  | Ok (sdw, abs) -> (
-      match validate_fetch t sdw ~ring:ipr.Hw.Registers.ring with
-      | Error _ as e -> e
-      | Ok () -> (
-          match fetch_decoded t abs with
-          | Error _ as e -> e
-          | Ok _ as res ->
-              if not t.degraded then begin
-                (* The watch table accumulates a binding per distinct
-                   (word, key) pair; slot overwrites leave old bindings
-                   harmlessly stale, so bound its growth by starting the
-                   memo over when it gets far larger than the slots. *)
-                if Hashtbl.length t.fetch_watch > 4 * fetch_cache_slots
-                then begin
-                  Array.fill t.fetch_slots 0 fetch_cache_slots (-1);
-                  Hashtbl.reset t.fetch_watch
-                end;
-                let i = fetch_index key in
-                t.fetch_slots.(i) <- key;
-                t.fetch_entries.(i) <-
-                  {
-                    f_res = res;
-                    f_gen = t.fetch_gen;
-                    f_paged = sdw.Hw.Sdw.paged;
-                  };
-                watch t ~bit:bit_fetch t.fetch_watch abs key
-              end;
-              res))
+  let r =
+    resolve_exn t ~segno:addr.Hw.Addr.segno ~wordno:addr.Hw.Addr.wordno
+  in
+  check (validate_fetch t r.r_sdw ~ring:ipr.Hw.Registers.ring);
+  let instr = fetch_decoded_exn t r.r_abs in
+  let e =
+    {
+      f_instr = instr;
+      f_next = { ipr with Hw.Registers.addr = Hw.Addr.offset addr 1 };
+      f_gen = t.fetch_gen;
+      f_paged = r.r_sdw.Hw.Sdw.paged;
+    }
+  in
+  if not t.degraded then begin
+    (* The watch table accumulates a binding per distinct (word, key)
+       pair; slot overwrites leave old bindings harmlessly stale, so
+       bound its growth by starting the memo over when it gets far
+       larger than the slots. *)
+    if Hashtbl.length t.fetch_watch > 4 * fetch_cache_slots then begin
+      Array.fill t.fetch_slots 0 fetch_cache_slots (-1);
+      Hashtbl.reset t.fetch_watch
+    end;
+    let i = fetch_index key in
+    t.fetch_slots.(i) <- key;
+    t.fetch_entries.(i) <- e;
+    watch t ~bit:bit_fetch t.fetch_watch r.r_abs key
+  end;
+  e
 
-let fetch_instr t =
+let fetch_exn t =
   let ipr = t.regs.Hw.Registers.ipr in
   let base = t.regs.Hw.Registers.dbr.Hw.Registers.base in
   if base <> t.sdw_cache_base then sync_dbr_base t base;
@@ -705,11 +761,13 @@ let fetch_instr t =
       Trace.Counters.bump_memory_reads c;
       Trace.Counters.charge c Hw.Costs.memory_access;
       Trace.Counters.bump_icache_hits c;
-      e.f_res
+      e
     end
-    else fetch_instr_slow t ipr key
+    else fetch_slow t ipr key
   end
-  else fetch_instr_slow t ipr key
+  else fetch_slow t ipr key
+
+let fetch_instr t = catch (fun () -> (fetch_exn t).f_instr)
 
 let validate_read t (sdw : Hw.Sdw.t) ~effective =
   Rings.Backend.validate_read t.backend sdw.access ~effective
@@ -777,9 +835,58 @@ let restore_saved t =
           Hw.Registers.restore t.regs ~from:regs;
           t.saved <- None)
 
-(* {1 Fault injection} *)
+(* {1 Between-instruction events}
 
-let attach_injector t inj = t.injector <- Some inj
+   The interval timer, the channel countdown, the arena's cycle ceiling
+   and the fault injector all act between instructions.  The CPU tests
+   one deadline per retired instruction: [ticks] counts the boundaries
+   the countdowns have seen (uninhibited, undisrupted steps), and
+   [next_event] is the tick at which the chain must next run — never
+   while nothing is armed, every tick while the injector or the cycle
+   ceiling (both polled against the cycle count) is attached.  The
+   countdowns are stored as the tick they fall due, so an armed timer
+   costs nothing per step; the option-valued accessors recompute the
+   remaining count, which is what snapshots and callers see. *)
+
+let rearm t =
+  t.next_event <-
+    (if t.injector <> None || t.limit_at <> no_event then min_int
+     else min t.timer_at t.io_at)
+
+let attach_injector t inj =
+  t.injector <- Some inj;
+  rearm t
+
+(* [Some n] fires at the [max 1 n]-th tick from now: the remaining
+   count at rest is [timer_at - ticks]. *)
+let timer t =
+  if t.timer_at = no_event then None else Some (t.timer_at - t.ticks)
+
+let set_timer t v =
+  t.timer_at <- (match v with None -> no_event | Some n -> t.ticks + n);
+  rearm t
+
+(* A countdown of [n] completes at the [max 1 (n - 1)]-th tick — the
+   tick that brings it to 1 — so it is stored as that tick. *)
+let io_countdown t =
+  if t.io_at = no_event then None else Some (t.io_at + 1 - t.ticks)
+
+let set_io_countdown t v =
+  (t.io_at <-
+     match v with
+     | None -> no_event
+     | Some n when n >= 1 -> t.ticks + n - 1
+     | Some n ->
+         invalid_arg (Printf.sprintf "Machine.set_io_countdown: %d < 1" n));
+  rearm t
+
+let cycle_limit t = if t.limit_at = no_event then None else Some t.limit_at
+
+let set_cycle_limit t v =
+  t.limit_at <- Option.value v ~default:no_event;
+  rearm t
+
+(* {1 Fault injection} *)
 
 (* Graceful degradation after coherence damage: flush and disable the
    host-side performance caches and run uncached from here on.  The
@@ -849,7 +956,7 @@ let poll_injection t =
               t.io_fail_pending <- true;
               None
           | Hw.Inject.Stall_io n ->
-              (match t.io_countdown with
-              | Some k -> t.io_countdown <- Some (k + n)
+              (match io_countdown t with
+              | Some k -> set_io_countdown t (Some (k + n))
               | None -> ());
               None))

@@ -61,23 +61,49 @@ type io_request = {
   count : int;
 }
 
+(** {1 The fault exception}
+
+    Inside the instruction cycle a fault is not a value: {!Eff_addr},
+    {!Exec}, {!Call_return} and the [_exn] functions below raise it as
+    [Fault] (with [raise_notrace], so no backtrace is recorded), and
+    {!Cpu.step} catches it in exactly one place, where it hands the
+    fault to {!take_fault}.  The exception never escapes [Cpu.step].
+    Every function that returns a [result] — {!fetch_sdw}, {!resolve},
+    {!fetch_decoded}, {!fetch_instr}, {!Eff_addr.compute} — keeps its
+    signature and catches [Fault] itself, so callers outside the cycle
+    see the same API as before. *)
+
+exception Fault of Rings.Fault.t
+
+val raise_fault : Rings.Fault.t -> 'a
+(** [raise_notrace (Fault f)]. *)
+
+val check : (unit, Rings.Fault.t) result -> unit
+(** Raise the error of a validation result as [Fault]. *)
+
 type fetch_entry = {
-  f_res : (Instr.t, Rings.Fault.t) result;
+  f_instr : Instr.t;
+  f_next : Hw.Registers.ptr;
+      (** IPR of the next sequential instruction, prebuilt so the
+          cycle advances IPR without allocating. *)
   f_gen : int;
   f_paged : bool;
 }
 (** A memoized instruction fetch: valid while [f_gen] matches the
     machine's current fetch generation.  [f_paged] selects which
-    modeled walk a hit replays (unpaged, or through a page table).
-    The prebuilt result makes a hit allocation-free. *)
+    modeled walk a hit replays (unpaged, or through a page table). *)
 
 type resolve_entry = {
-  r_res : (Hw.Sdw.t * int, Rings.Fault.t) result;
+  r_sdw : Hw.Sdw.t;
+  r_abs : int;  (** Absolute address of the word. *)
   r_gen : int;
   r_paged : bool;
+  mutable r_ptr : Hw.Registers.ptr;
+      (** The last IPR value a transfer built to this address. *)
 }
 (** A memoized address translation, same generation discipline;
-    faults are never cached. *)
+    faults are never cached.  A hit returns the entry itself, so a
+    resolve allocates nothing. *)
 
 type t = {
   mem : Hw.Memory.t;
@@ -106,14 +132,6 @@ type t = {
   mutable halted : bool;
   mutable saved : saved_state option;
       (** Processor state captured by the last trap, for RTRAP. *)
-  mutable timer : int option;
-      (** Interval timer: decremented once per retired instruction;
-          reaching zero raises [Timer_runout] between instructions.
-          [None] disables it. *)
-  mutable io_countdown : int option;
-      (** Pending I/O operation started by SIOC/SIOT: counts down per
-          instruction like the timer and raises the I/O-completion
-          trap when it reaches zero. *)
   mutable io_request : io_request option;
       (** The transfer the supervisor performs at completion (SIOT);
           [None] for a bare SIOC. *)
@@ -198,8 +216,9 @@ type t = {
           the set purges entries cached under the old bases. *)
   mutable injector : Hw.Inject.t option;
       (** Deterministic fault injector, polled between instructions
-          when attached.  [None] (the default) costs one option test
-          per step and leaves every modeled quantity untouched. *)
+          when attached (with {!attach_injector}, which arms the
+          poll).  [None] (the default) costs nothing per step and
+          leaves every modeled quantity untouched. *)
   mutable degraded : bool;
       (** Host caches disabled after coherence damage; see
           {!degrade}. *)
@@ -212,14 +231,6 @@ type t = {
           decision (resume, retry or quarantine) with the fault it
           acted on.  The chaos harness hangs its invariant checker
           here; the default does nothing. *)
-  mutable cycle_limit : int option;
-      (** Arena billing ceiling on {!Trace.Counters.cycles}: checked
-          between instructions, raising
-          {!Rings.Fault.Quota_exhausted} (and clearing itself) once
-          the running cycle total reaches the limit.  Slice policy,
-          not machine state: the dispatcher arms it before a tenant's
-          slice and disarms it after, so it is always [None] at
-          checkpoint boundaries and is not serialized. *)
   mutable cap_stack : Cap.Capability.sealed_return list;
       (** Capability mode's crossing stack: each cross-domain CALL
           pushes the caller's continuation sealed under the caller's
@@ -229,6 +240,32 @@ type t = {
           sealed under a different domain is simply left in place.
           Always [[]] in the other two modes; serialized in
           snapshots. *)
+  mutable tpr_ring : Rings.Effective_ring.t;
+  mutable tpr_segno : int;
+  mutable tpr_wordno : int;
+      (** TPR, the temporary pointer register of Figs. 4–6, as machine
+          state.  {!Eff_addr.form} overwrites it in place while it
+          forms an operand address — pointer-register base, offset,
+          index, then each indirect word decoded straight into it —
+          and {!Exec} validates and resolves the operand reference
+          from it ({!resolve_tpr}).  It holds no value across
+          instructions: snapshots, register copies and trap state do
+          not include it. *)
+  mutable tpr_imm : Hw.Word.t;
+      (** The sign-extended immediate operand, when the instruction
+          has one instead of a memory operand. *)
+  mutable ticks : int;
+  mutable next_event : int;
+  mutable timer_at : int;
+  mutable io_at : int;
+  mutable limit_at : int;
+      (** Between-instruction event deadlines, in [ticks]: the
+          instruction boundaries the countdowns have seen.  The CPU
+          compares [ticks] with [next_event] once per instruction and
+          runs the event chain (injection poll, cycle ceiling, I/O
+          completion, timer) only when it is due.  Set them through
+          {!set_timer}, {!set_io_countdown}, {!set_cycle_limit} and
+          {!attach_injector}, which keep [next_event] consistent. *)
 }
 
 val create :
@@ -247,7 +284,25 @@ val ring : t -> Rings.Ring.t
 
 val fetch_sdw : t -> segno:int -> (Hw.Sdw.t, Rings.Fault.t) result
 
+val fetch_sdw_exn : t -> segno:int -> Hw.Sdw.t
+(** [fetch_sdw], raising {!Fault}: for the instruction cycle. *)
+
 val resolve : t -> Hw.Addr.t -> (Hw.Sdw.t * int, Rings.Fault.t) result
+(** Translate a two-part address to its SDW and absolute address,
+    through the resolve memo.  A wrapper over {!resolve_exn}. *)
+
+val resolve_exn : t -> segno:int -> wordno:int -> resolve_entry
+(** The single translation path, raising {!Fault}.  A
+    generation-current memo hit returns the memo entry and replays the
+    filling walk's modeled activity; a miss walks, fills and returns a
+    new entry. *)
+
+val resolve_tpr : t -> resolve_entry
+(** [resolve_exn] at TPR's segment and word number. *)
+
+val transfer_ptr : t -> resolve_entry -> ring:Rings.Ring.t -> Hw.Registers.ptr
+(** The IPR value for a transfer to the TPR address [entry] resolved,
+    executing in [ring]; reused from the entry when it matches. *)
 
 val fetch_decoded : t -> int -> (Instr.t, Rings.Fault.t) result
 (** The instruction word at absolute address [abs], through the
@@ -257,7 +312,13 @@ val fetch_decoded : t -> int -> (Instr.t, Rings.Fault.t) result
 val fetch_instr : t -> (Instr.t, Rings.Fault.t) result
 (** The full instruction fetch at the current IPR: resolve, validate
     the execute bracket, read and decode — memoized whole through the
-    fetch cache.  Modeled activity is identical cached or not. *)
+    fetch cache.  Modeled activity is identical cached or not.  A
+    wrapper over {!fetch_exn}. *)
+
+val fetch_exn : t -> fetch_entry
+(** The instruction fetch the cycle uses, raising {!Fault}: the
+    returned entry carries the decoded instruction and the successor
+    IPR. *)
 
 val disassemble_at : t -> segno:int -> wordno:int -> string option
 (** Silently re-decode and render the instruction word at
@@ -320,9 +381,44 @@ val restore_saved : t -> unit
 (** The RTRAP action: restore the captured state and clear it.
     Raises [Invalid_argument] when no state is saved. *)
 
+(** {1 Between-instruction events}
+
+    The interval timer and the pending I/O completion count down once
+    per retired, uninhibited instruction; the arena's cycle ceiling
+    and an attached injector are polled at the same boundaries.  Each
+    countdown is stored as the tick it falls due, so an armed timer
+    costs one comparison per instruction. *)
+
+val timer : t -> int option
+(** Interval timer: instructions left until [Timer_runout] is raised
+    between instructions.  [None] when disarmed. *)
+
+val set_timer : t -> int option -> unit
+(** Arm ([Some n]: runs out after [max 1 n] instructions) or disarm
+    the timer. *)
+
+val io_countdown : t -> int option
+(** Pending I/O operation started by SIOC/SIOT: counts down per
+    instruction like the timer and raises the I/O-completion trap when
+    it reaches 1.  [None] when no operation is pending. *)
+
+val set_io_countdown : t -> int option -> unit
+(** Raises [Invalid_argument] on a countdown below 1. *)
+
+val cycle_limit : t -> int option
+(** Arena billing ceiling on {!Trace.Counters.cycles}: checked between
+    instructions, raising {!Rings.Fault.Quota_exhausted} (and clearing
+    itself) once the running cycle total reaches the limit.  Slice
+    policy, not machine state: the dispatcher arms it before a
+    tenant's slice and disarms it after, so it is always [None] at
+    checkpoint boundaries and is not serialized. *)
+
+val set_cycle_limit : t -> int option -> unit
+
 (** {1 Fault injection and degradation} *)
 
 val attach_injector : t -> Hw.Inject.t -> unit
+(** Attach [inj], polled between instructions from now on. *)
 
 val degrade : t -> unit
 (** Flush and disable every host-side performance cache (SDW LRU, PTW

@@ -187,11 +187,11 @@ let run_wave ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
           (Trace.Ledger.bill ledger ~tenant:t.id).Trace.Counters.cycles
         in
         let remaining = max 0 (quota.cycles - spent) in
-        m.Isa.Machine.cycle_limit <-
-          Some (Trace.Counters.cycles counters + remaining)
+        Isa.Machine.set_cycle_limit m
+          (Some (Trace.Counters.cycles counters + remaining))
   in
   let after_slice (e : System.entry) (_result : Kernel.exit) =
-    m.Isa.Machine.cycle_limit <- None;
+    Isa.Machine.set_cycle_limit m None;
     match Hashtbl.find_opt entry_tenant e.System.pname with
     | None -> ()
     | Some t ->

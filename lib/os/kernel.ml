@@ -55,7 +55,7 @@ let handle_fault_inner p fault : (unit, exit) result =
       Error Preempted
   | Rings.Fault.Service_call { code } when code = Calling.svc_block ->
       p.Process.machine.Isa.Machine.saved <- None;
-      if p.Process.machine.Isa.Machine.io_countdown = None then
+      if Isa.Machine.io_countdown p.Process.machine = None then
         (* Nothing to wait for: a plain yield. *)
         Error Preempted
       else Error Blocked
@@ -162,7 +162,7 @@ let handle_fault_inner p fault : (unit, exit) result =
         Trace.Counters.bump_retried counters;
         Trace.Counters.charge counters Costs.io_retry_setup;
         let backoff = 8 lsl p.Process.io_attempts in
-        m.Isa.Machine.io_countdown <- Some backoff;
+        Isa.Machine.set_io_countdown m (Some backoff);
         if Trace.Event.enabled m.Isa.Machine.log then
           Trace.Event.record_gatekeeper m.Isa.Machine.log
             ~action:
@@ -177,7 +177,7 @@ let handle_fault_inner p fault : (unit, exit) result =
         Trace.Counters.bump_quarantined counters;
         close_recovery m;
         m.Isa.Machine.io_request <- None;
-        m.Isa.Machine.io_countdown <- None;
+        Isa.Machine.set_io_countdown m None;
         m.Isa.Machine.saved <- None;
         m.Isa.Machine.on_recovery fault;
         Error (Quarantined Rings.Fault.Io_error)

@@ -744,8 +744,8 @@ let write_machine_pre b (m : Isa.Machine.t) =
       w_regs b s.Isa.Machine.regs;
       w_fault b s.Isa.Machine.fault)
     b m.Isa.Machine.saved;
-  w_opt w_int b m.Isa.Machine.timer;
-  w_opt w_int b m.Isa.Machine.io_countdown;
+  w_opt w_int b (Isa.Machine.timer m);
+  w_opt w_int b (Isa.Machine.io_countdown m);
   w_opt w_io_request b m.Isa.Machine.io_request;
   w_bool b m.Isa.Machine.inhibit;
   w_opt
@@ -1015,8 +1015,8 @@ let apply_machine ?(since = 0) ?mark r (m : Isa.Machine.t) =
         let fault = r_fault r in
         { Isa.Machine.regs; fault })
       r;
-  m.Isa.Machine.timer <- r_opt r_int r;
-  m.Isa.Machine.io_countdown <- r_opt r_int r;
+  Isa.Machine.set_timer m (r_opt r_int r);
+  Isa.Machine.set_io_countdown m (r_opt r_int r);
   m.Isa.Machine.io_request <- r_opt r_io_request r;
   m.Isa.Machine.inhibit <- r_bool r;
   m.Isa.Machine.trap_config <-

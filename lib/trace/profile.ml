@@ -12,8 +12,14 @@ type t = {
   ring_cycles : int array;
   ring_instructions : int array;
   segments : (int, cell) Hashtbl.t;
+  mutable last_segno : int;
+  mutable last_cell : cell;
+      (* One-entry cache over [segments]: control stays in one segment
+         between crossings, so most attributions skip the hash. *)
   mutable kernel_cycles : int;
 }
+
+let no_cell = { cycles = 0; instructions = 0 }
 
 let create ~rings () =
   if rings < 1 then invalid_arg "Profile.create: rings < 1";
@@ -22,6 +28,8 @@ let create ~rings () =
     ring_cycles = Array.make rings 0;
     ring_instructions = Array.make rings 0;
     segments = Hashtbl.create 32;
+    last_segno = -1;
+    last_cell = no_cell;
     kernel_cycles = 0;
   }
 
@@ -32,18 +40,28 @@ let clear t =
   Array.fill t.ring_cycles 0 (Array.length t.ring_cycles) 0;
   Array.fill t.ring_instructions 0 (Array.length t.ring_instructions) 0;
   Hashtbl.reset t.segments;
+  t.last_segno <- -1;
+  t.last_cell <- no_cell;
   t.kernel_cycles <- 0
 
 let attribute t ~ring ~segno ~cycles ~instructions =
   t.ring_cycles.(ring) <- t.ring_cycles.(ring) + cycles;
   t.ring_instructions.(ring) <- t.ring_instructions.(ring) + instructions;
   let cell =
-    match Hashtbl.find_opt t.segments segno with
-    | Some c -> c
-    | None ->
-        let c = { cycles = 0; instructions = 0 } in
-        Hashtbl.add t.segments segno c;
-        c
+    if segno = t.last_segno then t.last_cell
+    else begin
+      let c =
+        match Hashtbl.find t.segments segno with
+        | c -> c
+        | exception Not_found ->
+            let c = { cycles = 0; instructions = 0 } in
+            Hashtbl.add t.segments segno c;
+            c
+      in
+      t.last_segno <- segno;
+      t.last_cell <- c;
+      c
+    end
   in
   cell.cycles <- cell.cycles + cycles;
   cell.instructions <- cell.instructions + instructions

@@ -147,7 +147,7 @@ let test_handler_not_preempted () =
   let m = p.Os.Process.machine in
   (* A one-instruction quantum would otherwise fire inside the
      handler. *)
-  m.Isa.Machine.timer <- Some 1;
+  Isa.Machine.set_timer m (Some 1);
   let rec run n fired_in_ring0 =
     if n = 0 then Alcotest.fail "never halted"
     else

@@ -106,6 +106,34 @@ let test_reassembly_roundtrip () =
           | _ -> ())
         prog.Asm.Assemble.words
 
+(* Immediates across the whole signed 18-bit range, including the
+   negative ones whose field has bit 17 set: assemble, disassemble and
+   assemble again must give the same word. *)
+let test_immediate_roundtrip () =
+  let assemble_one line =
+    match Asm.Assemble.assemble ("    " ^ line ^ "\n") with
+    | Ok p -> p.Asm.Assemble.words.(0)
+    | Error errs ->
+        Alcotest.failf "assembly failed for %S: %a" line
+          (Format.pp_print_list Asm.Assemble.pp_error)
+          errs
+  in
+  List.iter
+    (fun mnemonic ->
+      List.iter
+        (fun v ->
+          let src = Printf.sprintf "%s =%d" mnemonic v in
+          let w = assemble_one src in
+          let text =
+            match Asm.Disasm.classify w with
+            | Asm.Disasm.Instruction i -> Asm.Disasm.instruction i
+            | _ -> Alcotest.failf "%s: not disassembled as an instruction" src
+          in
+          Alcotest.(check string) "renders the signed value" src text;
+          Alcotest.(check int) (src ^ " reassembles") w (assemble_one text))
+        [ -131072; -1; 0; 1; 131071 ])
+    [ "lda"; "ada" ]
+
 let prop_disasm_total =
   QCheck.Test.make ~name:"disassembly total over all words" ~count:500
     Gen.word36 (fun w ->
@@ -122,6 +150,8 @@ let suite =
         Alcotest.test_case "segment dump" `Quick test_segment_dump;
         Alcotest.test_case "reassembly round trip" `Quick
           test_reassembly_roundtrip;
+        Alcotest.test_case "immediate round trip" `Quick
+          test_immediate_roundtrip;
         QCheck_alcotest.to_alcotest prop_disasm_total;
       ] );
   ]

@@ -202,6 +202,51 @@ let test_runaway_indirection () =
   | exception Isa.Eff_addr.Runaway_indirection _ -> ()
   | _ -> Alcotest.fail "expected Runaway_indirection"
 
+(* A chain of distinct indirect words in segment 2: word k points at
+   word k+1, and word [last] ends the chain (or not).  The guard allows
+   64 levels of indirection and refuses the 65th, naming the address it
+   would have resolved next. *)
+let chain_machine ~last_indirect =
+  let words =
+    Array.init 64 (fun k ->
+        if k < 63 || last_indirect then
+          Fixtures.its ~indirect:true ~ring:0 ~segno:2 ~wordno:(k + 1) ()
+        else Fixtures.its ~ring:0 ~segno:3 ~wordno:5 ())
+  in
+  let m =
+    Fixtures.build
+      ~segments:
+        [
+          (1, [||], Fixtures.code_ring 2);
+          (2, words, Fixtures.data_ring 5);
+          (3, [||], Fixtures.data_ring 3);
+        ]
+      ()
+  in
+  Fixtures.set_ipr m ~ring:2 ~segno:1 ~wordno:0;
+  Hw.Registers.set_pr m.Isa.Machine.regs 1
+    (Hw.Registers.ptr ~ring:2 ~segno:2 ~wordno:0);
+  m
+
+let chain_instr =
+  Fixtures.i ~base:(Isa.Instr.Pr 1) ~indirect:true ~offset:0 Isa.Opcode.LDA
+
+let test_runaway_depth_boundary () =
+  let m = chain_machine ~last_indirect:false in
+  let _, addr = expect_memory "64 levels" (compute m chain_instr) in
+  Alcotest.(check string) "64 levels resolve" "3|000005"
+    (Format.asprintf "%a" Hw.Addr.pp addr);
+  Alcotest.(check int) "64 indirect words read" 64
+    (Trace.Counters.indirections m.Isa.Machine.counters);
+  let m = chain_machine ~last_indirect:true in
+  match Isa.Eff_addr.compute m chain_instr with
+  | exception Isa.Eff_addr.Runaway_indirection addr ->
+      Alcotest.(check string) "carries the 65th address" "2|000100"
+        (Format.asprintf "%a" Hw.Addr.pp addr);
+      Alcotest.(check int) "refused before reading it" 64
+        (Trace.Counters.indirections m.Isa.Machine.counters)
+  | _ -> Alcotest.fail "expected Runaway_indirection at depth 65"
+
 let test_645_mode_no_ring_folding () =
   let m =
     Fixtures.build ~mode:Isa.Machine.Ring_software_645
@@ -235,6 +280,8 @@ let suite =
           test_pr_relative_folds_ring;
         Alcotest.test_case "indexing" `Quick test_indexing;
         Alcotest.test_case "immediate" `Quick test_immediate;
+        Alcotest.test_case "runaway guard fires at depth 65" `Quick
+          test_runaway_depth_boundary;
         Alcotest.test_case "indirection folds IND.RING" `Quick
           test_indirection_folds_ind_ring_and_r1;
         Alcotest.test_case "indirection folds container R1" `Quick

@@ -15,12 +15,12 @@ let xorshift seed =
     s := x;
     x land Hw.Word.mask
 
-let build_fuzz_machine seed =
+let build_fuzz_machine ?mode seed =
   let next = xorshift seed in
   let code = Array.init 64 (fun _ -> next ()) in
   let data = Array.init 64 (fun _ -> next ()) in
   let m =
-    Fixtures.build
+    Fixtures.build ?mode
       ~segments:
         ([ (1, code, Rings.Access.v ~read:true ~execute:true (Rings.Brackets.of_ints 0 7 7));
            (9, data, Fixtures.data_ring 5);
@@ -63,6 +63,128 @@ let prop_cpu_never_escapes =
           | exception Isa.Eff_addr.Runaway_indirection _ -> true
       in
       run 100)
+
+(* Differential check of the memoized fast path against the slow path
+   it replaces.  [Machine.degrade] turns every host-side memo off (the
+   fetch and resolve memos, the SDW LRU, the TLB, the decoded-
+   instruction cache), so a degraded twin walks, validates and decodes
+   every reference afresh.  Both twins run the same arbitrary program;
+   after every step they must agree on the outcome, the registers, the
+   saved trap state, the words the program can reach, and every modeled
+   counter.  The excluded counters are the host caches' own hit, miss
+   and eviction tallies (which degradation changes by design) and
+   [degraded] itself. *)
+let host_cache_counters =
+  [
+    "sdw_cache_hits"; "sdw_cache_misses"; "sdw_cache_evictions";
+    "ptw_tlb_hits"; "ptw_tlb_misses"; "ptw_tlb_evictions";
+    "icache_hits"; "icache_misses"; "icache_evictions"; "degraded";
+  ]
+
+(* The fuzz machine's descriptor segment and segments all sit below
+   this address. *)
+let reachable_words = 2048
+
+let observe m =
+  let counters =
+    List.filter
+      (fun (name, _) -> not (List.mem name host_cache_counters))
+      (Trace.Counters.fields (Trace.Counters.snapshot m.Isa.Machine.counters))
+  in
+  ( Hw.Registers.copy m.Isa.Machine.regs,
+    m.Isa.Machine.saved,
+    Array.init reachable_words (Hw.Memory.read_silent m.Isa.Machine.mem),
+    counters )
+
+let step_outcome m =
+  match Isa.Cpu.step m with
+  | o -> Ok o
+  | exception Isa.Eff_addr.Runaway_indirection a -> Error a
+
+let prop_fast_path_matches_degraded mode =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "%s: memoized cycle = degraded cycle"
+         (Rings.Backend.to_string (Isa.Machine.backend_of_mode mode)))
+    ~count:100 (QCheck.int_range 1 1_000_000) (fun seed ->
+      let fast = build_fuzz_machine ~mode seed in
+      let slow = build_fuzz_machine ~mode seed in
+      Isa.Machine.degrade slow;
+      let rec run n =
+        n = 0
+        ||
+        let o = step_outcome fast in
+        if o <> step_outcome slow then
+          QCheck.Test.fail_reportf "seed %d: outcomes differ at step %d" seed
+            (100 - n)
+        else if observe fast <> observe slow then
+          QCheck.Test.fail_reportf "seed %d: state differs after step %d" seed
+            (100 - n)
+        else
+          match o with
+          | Ok Isa.Cpu.Running -> run (n - 1)
+          | Ok (Isa.Cpu.Faulted _) ->
+              (* Restart both among the first 16 words, each in a ring
+                 that recurs every 16 faults, so the same instructions
+                 and operands come round again and the memos hit. *)
+              List.iter
+                (fun m ->
+                  m.Isa.Machine.saved <- None;
+                  Fixtures.set_ipr m ~ring:(n land 7) ~segno:1
+                    ~wordno:(n land 15))
+                [ fast; slow ];
+              run (n - 1)
+          | Ok Isa.Cpu.Halted | Error _ -> true
+      in
+      run 100)
+
+(* The same differential check on real, looping programs under the
+   kernel: the scenario crossings of every backend and a demand-paged
+   one, so the memos hit on every iteration and the gatekeeper, the TLB
+   and CALL/RETURN are all on the path.  The twins advance one retired
+   instruction (and any fault service) at a time; memory is compared
+   at the end. *)
+let scenario_legs =
+  [
+    ("hw", Os.Scenario.default_config);
+    ("645", Os.Scenario.software_config);
+    ("cap", Os.Scenario.capability_config);
+    ("paged", { Os.Scenario.default_config with Os.Scenario.paged = true });
+  ]
+
+let memory_words m =
+  let mem = m.Isa.Machine.mem in
+  Array.init (Hw.Memory.size mem) (Hw.Memory.read_silent mem)
+
+let prop_scenarios_match_degraded =
+  QCheck.Test.make ~name:"scenarios: memoized runs = degraded runs"
+    ~count:12
+    QCheck.(pair (int_range 0 3) (int_range 1 12))
+    (fun (leg, iterations) ->
+      let name, config = List.nth scenario_legs leg in
+      let boot () =
+        match
+          Os.Scenario.crossing ~config ~caller_ring:4 ~callee_ring:1
+            ~with_argument:true ~iterations ()
+        with
+        | Ok p -> p
+        | Error e -> failwith e
+      in
+      let fast = boot () and slow = boot () in
+      let mf = fast.Os.Process.machine and ms = slow.Os.Process.machine in
+      Isa.Machine.degrade ms;
+      let rec run n =
+        let e = Os.Kernel.run ~max_instructions:1 fast in
+        if e <> Os.Kernel.run ~max_instructions:1 slow then
+          QCheck.Test.fail_reportf "%s: exits differ at step %d" name n
+        else if
+          let r, sv, _, c = observe mf and r', sv', _, c' = observe ms in
+          r <> r' || sv <> sv' || c <> c'
+        then QCheck.Test.fail_reportf "%s: state differs after step %d" name n
+        else if e = Os.Kernel.Out_of_budget then run (n + 1)
+        else memory_words mf = memory_words ms
+      in
+      run 1)
 
 (* The same property under the kernel with a full process environment:
    random code in a user segment, kernel servicing traps. *)
@@ -253,6 +375,13 @@ let suite =
     ( "fuzz",
       [
         QCheck_alcotest.to_alcotest prop_cpu_never_escapes;
+        QCheck_alcotest.to_alcotest
+          (prop_fast_path_matches_degraded Isa.Machine.Ring_hardware);
+        QCheck_alcotest.to_alcotest
+          (prop_fast_path_matches_degraded Isa.Machine.Ring_software_645);
+        QCheck_alcotest.to_alcotest
+          (prop_fast_path_matches_degraded Isa.Machine.Ring_capability);
+        QCheck_alcotest.to_alcotest prop_scenarios_match_degraded;
         QCheck_alcotest.to_alcotest prop_kernel_never_escapes;
         QCheck_alcotest.to_alcotest prop_kernel_never_escapes_paged;
         QCheck_alcotest.to_alcotest prop_system_survives_default_plan_injection;

@@ -13,7 +13,7 @@ let spin_machine () =
 
 let test_timer_fires () =
   let m = spin_machine () in
-  m.Isa.Machine.timer <- Some 5;
+  Isa.Machine.set_timer m (Some 5);
   let rec run n =
     match Isa.Cpu.step m with
     | Isa.Cpu.Running -> run (n + 1)
@@ -21,11 +21,11 @@ let test_timer_fires () =
     | _ -> Alcotest.fail "unexpected outcome"
   in
   Alcotest.(check int) "fired after five instructions" 5 (run 0);
-  Alcotest.(check bool) "timer disarmed" true (m.Isa.Machine.timer = None)
+  Alcotest.(check bool) "timer disarmed" true (Isa.Machine.timer m = None)
 
 let test_timer_saved_state_resumes () =
   let m = spin_machine () in
-  m.Isa.Machine.timer <- Some 1;
+  Isa.Machine.set_timer m (Some 1);
   (match Isa.Cpu.step m with
   | Isa.Cpu.Faulted Rings.Fault.Timer_runout -> ()
   | _ -> Alcotest.fail "expected timer runout");
@@ -38,7 +38,7 @@ let test_timer_saved_state_resumes () =
 
 let test_timer_not_counted_as_violation () =
   let m = spin_machine () in
-  m.Isa.Machine.timer <- Some 3;
+  Isa.Machine.set_timer m (Some 3);
   let rec run () =
     match Isa.Cpu.step m with
     | Isa.Cpu.Running -> run ()
@@ -73,7 +73,7 @@ let test_kernel_reports_preemption () =
   (match Os.Process.start p ~segment:"spin" ~entry:"start" ~ring:4 with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  p.Os.Process.machine.Isa.Machine.timer <- Some 10;
+  Isa.Machine.set_timer p.Os.Process.machine (Some 10);
   match Os.Kernel.run ~max_instructions:1000 p with
   | Os.Kernel.Preempted -> ()
   | e -> Alcotest.failf "expected preemption, got %a" Os.Kernel.pp_exit e
@@ -121,13 +121,60 @@ let test_injection_delivered_before_pending_timer () =
   Isa.Machine.attach_injector m (Hw.Inject.create eager_flip_plan);
   m.Isa.Machine.inhibit <- true;
   Fixtures.expect_running "inhibited" (Isa.Cpu.step m);
-  m.Isa.Machine.timer <- Some 1;
+  Isa.Machine.set_timer m (Some 1);
   m.Isa.Machine.inhibit <- false;
   (match Isa.Cpu.step m with
   | Isa.Cpu.Faulted (Rings.Fault.Parity_error _) -> ()
   | _ -> Alcotest.fail "expected the injected fault first");
   Alcotest.(check bool) "timer still armed" true
-    (m.Isa.Machine.timer = Some 1)
+    (Isa.Machine.timer m = Some 1)
+
+(* The timer and the channel countdown are stored as deadlines; this
+   checks them against the per-instruction countdowns they replaced,
+   written out as a reference model.  Each uninhibited instruction
+   boundary first ticks the I/O countdown (firing the completion when
+   it reaches 1), and only when no completion fired does the timer
+   tick (firing at 1 or below).  Inhibited boundaries tick nothing.
+   Both accessors must read the model's counts after every step. *)
+let model_step (timer, io) =
+  let io = match io with Some n when n > 1 -> Some (n - 1) | x -> x in
+  match io with
+  | Some 1 -> ((timer, None), Some Rings.Fault.Io_completion)
+  | _ -> (
+      match timer with
+      | Some n when n <= 1 -> ((None, io), Some Rings.Fault.Timer_runout)
+      | Some n -> ((Some (n - 1), io), None)
+      | None -> ((None, io), None))
+
+let prop_countdowns_match_model =
+  let arm lo = QCheck.(option (int_range lo 40)) in
+  QCheck.Test.make ~name:"timer and I/O deadlines match countdowns"
+    ~count:200
+    QCheck.(triple (arm (-2)) (arm 1) (int_range 2 7))
+    (fun (timer, io, inhibit_every) ->
+      let m = spin_machine () in
+      Isa.Machine.set_timer m timer;
+      Isa.Machine.set_io_countdown m io;
+      let rec run n state =
+        n = 0
+        ||
+        let inhibited = n mod inhibit_every = 0 in
+        m.Isa.Machine.inhibit <- inhibited;
+        let outcome = Isa.Cpu.step m in
+        let state, fired =
+          if inhibited then (state, None) else model_step state
+        in
+        let expected =
+          match fired with
+          | Some f -> Isa.Cpu.Faulted f
+          | None -> Isa.Cpu.Running
+        in
+        m.Isa.Machine.saved <- None;
+        outcome = expected
+        && (Isa.Machine.timer m, Isa.Machine.io_countdown m) = state
+        && run (n - 1) state
+      in
+      run 60 (timer, io))
 
 let suite =
   [
@@ -146,5 +193,6 @@ let suite =
           test_injection_defers_under_inhibit;
         Alcotest.test_case "injection precedes pending timer" `Quick
           test_injection_delivered_before_pending_timer;
+        QCheck_alcotest.to_alcotest prop_countdowns_match_model;
       ] );
   ]

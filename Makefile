@@ -205,48 +205,12 @@ snapshot-smoke:
 	       cat /tmp/snapshot_smoke/mix.err; exit 1; }
 	@echo "snapshot-smoke: delta chains fold, resume and refuse mixed links on disk"
 
-# Multi-tenant arena gate.  Two seeded campaigns, each run twice: the
-# billing report (stdout and JSON) must be byte-identical across
-# reruns and across shard counts, the JSON must be well-formed, and
-# the standard adversarial mix must quarantine at least one tenant
-# while still exiting 0 — quarantines are the arena working as
-# designed; only a cross-tenant auditor violation is a failure.  A
-# final sweep of 20 seeded campaigns is the standing zero-leak gate:
-# every one must keep violations at zero (exit 0) and quarantine at
-# least one adversary.
+# Multi-tenant arena gate: billing reports deterministic and
+# shard-count invariant, adversaries quarantined, and a 20-campaign
+# zero-leak sweep.  The checks live in the cram test
+# test/cram/arena_smoke.t, which `dune runtest` also runs.
 arena-smoke:
-	dune build bin/ringsim.exe bin/jsoncheck.exe
-	@rm -rf /tmp/arena_smoke && mkdir -p /tmp/arena_smoke
-	@for seed in 5 42; do \
-	  for run in a b; do \
-	    _build/default/bin/ringsim.exe arena --tenants 96 --arena-seed $$seed \
-	      --report-json /tmp/arena_smoke/s$${seed}_$$run.json \
-	      > /tmp/arena_smoke/s$${seed}_$$run.out \
-	      || { echo "arena-smoke: seed $$seed reported violations"; exit 1; }; \
-	  done; \
-	  _build/default/bin/jsoncheck.exe /tmp/arena_smoke/s$${seed}_a.json || exit 1; \
-	  for f in json out; do \
-	    diff /tmp/arena_smoke/s$${seed}_a.$$f /tmp/arena_smoke/s$${seed}_b.$$f \
-	      || { echo "arena-smoke: seed $$seed output DIFFERS between runs"; exit 1; }; \
-	  done; \
-	  grep -Eq ", [1-9][0-9]* quarantined" /tmp/arena_smoke/s$${seed}_a.out \
-	    || { echo "arena-smoke: seed $$seed quarantined no tenant"; exit 1; }; \
-	done
-	@_build/default/bin/ringsim.exe arena --tenants 96 --arena-seed 42 --shards 4 \
-	  --report-json /tmp/arena_smoke/s42_sh4.json > /tmp/arena_smoke/s42_sh4.out \
-	  || { echo "arena-smoke: 4-shard campaign reported violations"; exit 1; }
-	@for f in json out; do \
-	  diff /tmp/arena_smoke/s42_a.$$f /tmp/arena_smoke/s42_sh4.$$f \
-	    || { echo "arena-smoke: report depends on the shard count"; exit 1; }; \
-	done
-	@for seed in $$(seq 1 20); do \
-	  _build/default/bin/ringsim.exe arena --tenants 48 --arena-seed $$seed \
-	    > /tmp/arena_smoke/gate$$seed.out \
-	    || { echo "arena-smoke: campaign seed $$seed reported violations"; exit 1; }; \
-	  grep -Eq ", [1-9][0-9]* quarantined" /tmp/arena_smoke/gate$$seed.out \
-	    || { echo "arena-smoke: campaign seed $$seed quarantined no tenant"; exit 1; }; \
-	done
-	@echo "arena-smoke: billing deterministic and shard-independent, adversaries quarantined, 22 campaigns leak-free"
+	dune build @test/cram/arena_smoke
 
 # Serving-fleet determinism, two ways.  First, the same 4-shard fleet
 # run twice must produce byte-identical stdout and JSON report — the

@@ -542,6 +542,14 @@ let arena_tenants = 256
 let arena_seed = 42
 let arena_throughput_floor = 0.9
 
+(* The arena's allocation co-gate: major-heap words allocated per wave
+   over the single-shard campaign.  A wave that builds its machine on
+   fresh storage pays at least the 2^21-word memory; recycled storage
+   ({!Isa.Machine.release}) leaves the wave's store, tables and
+   process images.  The count is deterministic — one domain, a fixed
+   allocation sequence — so the gate cannot flake. *)
+let arena_major_words_budget = 262_144.
+
 type arena_sample = {
   ar_profile : string;
   ar_completed : int;
@@ -553,14 +561,18 @@ type arena_sample = {
   ar_nq_cycles : int;  (* billed to non-quarantined tenants *)
   ar_ipc : float;  (* nq_instructions / nq_cycles *)
   ar_host_seconds : float;
+  ar_major_words_per_wave : float;
 }
 
 let run_arena_profile ~profile =
   let tenants =
     Serve.Tenants.generate ~profile ~seed:arena_seed ~tenants:arena_tenants ()
   in
+  let major_words () = (Gc.quick_stat ()).Gc.major_words in
   let t0 = Unix.gettimeofday () in
+  let w0 = major_words () in
   let r = Serve.Tenants.run_sharded ~shards:1 ~seed:arena_seed tenants in
+  let major = major_words () -. w0 in
   let dt = Unix.gettimeofday () -. t0 in
   let quarantined (b : Os.Arena.bill) =
     String.length b.Os.Arena.verdict >= 11
@@ -596,6 +608,7 @@ let run_arena_profile ~profile =
     ar_nq_cycles = cyc;
     ar_ipc = float_of_int instr /. float_of_int (max 1 cyc);
     ar_host_seconds = dt;
+    ar_major_words_per_wave = major /. float_of_int r.Os.Arena.waves;
   }
 
 (* The three-way backend showdown: one downward-and-back crossing
@@ -861,16 +874,18 @@ let json_of_samples samples span_samples ~traced ~untraced ~idle
            "    {\"profile\": %S, \"completed\": %d, \"contained\": %d, \
             \"quarantined\": %d, \"audits\": %d, \"violations\": %d, \
             \"nonquarantined_instructions\": %d, \"nonquarantined_cycles\": \
-            %d, \"instructions_per_cycle\": %.4f, \"host_seconds\": %.6f}"
+            %d, \"instructions_per_cycle\": %.4f, \"host_seconds\": %.6f, \
+            \"major_words_per_wave\": %.0f}"
            a.ar_profile a.ar_completed a.ar_contained a.ar_quarantined
            a.ar_audits a.ar_violations a.ar_nq_instructions a.ar_nq_cycles
-           a.ar_ipc a.ar_host_seconds))
+           a.ar_ipc a.ar_host_seconds a.ar_major_words_per_wave))
     arena;
   Buffer.add_string buf
     (Printf.sprintf
-       "\n  ], \"throughput_ratio\": %.4f, \"throughput_floor\": %.1f},\n"
+       "\n  ], \"throughput_ratio\": %.4f, \"throughput_floor\": %.1f, \
+        \"major_words_per_wave_budget\": %.0f},\n"
        (std.ar_ipc /. coop.ar_ipc)
-       arena_throughput_floor);
+       arena_throughput_floor arena_major_words_budget);
   Buffer.add_string buf
     "  \"backends\": {\"workload\": \"crossing\", \"caller_ring\": 4, \
      \"callee_ring\": 1, \"samples\": [\n";
@@ -1186,6 +1201,7 @@ let throughput () =
           ("quarantined", Trace.Tablefmt.Right);
           ("audits", Trace.Tablefmt.Right);
           ("nq instr/cycle", Trace.Tablefmt.Right);
+          ("major words/wave", Trace.Tablefmt.Right);
         ]
   in
   List.iter
@@ -1198,6 +1214,7 @@ let throughput () =
           string_of_int a.ar_quarantined;
           string_of_int a.ar_audits;
           Printf.sprintf "%.4f" a.ar_ipc;
+          Printf.sprintf "%.0f" a.ar_major_words_per_wave;
         ])
     arena;
   Trace.Tablefmt.print
@@ -1217,6 +1234,15 @@ let throughput () =
          "arena throughput ratio %.3f below the %.1f floor: quarantine is \
           taxing the well-behaved tenants"
          arena_ratio arena_throughput_floor);
+  List.iter
+    (fun a ->
+      if a.ar_major_words_per_wave > arena_major_words_budget then
+        failwith
+          (Printf.sprintf
+             "arena bench: %.0f major words per wave under the %s profile \
+              (budget %.0f): waves are not recycling machine memory"
+             a.ar_major_words_per_wave a.ar_profile arena_major_words_budget))
+    arena;
   print_newline ();
   let backends =
     List.map

@@ -1,5 +1,5 @@
 type t = {
-  words : int array;
+  mutable words : int array;
   counters : Trace.Counters.t;
   mutable on_write : int -> unit;
   (* Write stamps: one per [page_words]-word page, holding the [clock]
@@ -8,7 +8,7 @@ type t = {
      store, no branch on the hot path.  [epoch] closes the current
      clock value, so "written since epoch e" is [stamps.(p) > e], and
      the dirty map is that view over [dirty_since]. *)
-  stamps : int array;
+  mutable stamps : int array;
   mutable clock : int;
   mutable dirty_since : int;
   mutable dirty_generation : int;
@@ -23,7 +23,14 @@ type t = {
      clears the written word's tag; only {!set_tag} (the kernel
      installing a capability) sets one. *)
   mutable tags : Bytes.t;
+  (* A recycled tag store waiting for {!enable_tags}: a memory built on
+     released storage starts with tags disabled, as a fresh one does,
+     but keeps the old store so a capability machine need not allocate
+     one again. *)
+  mutable spare_tags : Bytes.t;
 }
+
+type storage = { s_words : int array; s_stamps : int array; s_tags : Bytes.t }
 
 let default_size = 1 lsl 21
 
@@ -33,19 +40,64 @@ let page_words = 1 lsl page_shift
 
 let ignore_write (_ : int) = ()
 
-let create ?(size = default_size) counters =
+(* Back to the state [Array.make] builds: by the stamp-0 invariant only
+   the stamped pages can hold anything but zeros. *)
+let zero_stamped { s_words; s_stamps; _ } =
+  let size = Array.length s_words in
+  Array.iteri
+    (fun p stamp ->
+      if stamp <> 0 then begin
+        let lo = p lsl page_shift in
+        Array.fill s_words lo (min page_words (size - lo)) 0;
+        s_stamps.(p) <- 0
+      end)
+    s_stamps
+
+let create ?size ?storage counters =
+  let s =
+    match (storage, size) with
+    | None, _ ->
+        let size = Option.value size ~default:default_size in
+        {
+          s_words = Array.make size 0;
+          s_stamps = Array.make ((size + page_words - 1) lsr page_shift) 0;
+          s_tags = Bytes.empty;
+        }
+    | Some s, Some size when size <> Array.length s.s_words ->
+        invalid_arg "Memory.create: storage of another size"
+    | Some s, _ ->
+        zero_stamped s;
+        s
+  in
   {
-    words = Array.make size 0;
+    words = s.s_words;
     counters;
     on_write = ignore_write;
-    stamps = Array.make ((size + page_words - 1) lsr page_shift) 0;
+    stamps = s.s_stamps;
     clock = 1;
     dirty_since = 0;
     dirty_generation = 0;
     mark = "";
     mark_epoch = 0;
     tags = Bytes.empty;
+    spare_tags = s.s_tags;
   }
+
+let release t =
+  let s =
+    {
+      s_words = t.words;
+      s_stamps = t.stamps;
+      s_tags = (if Bytes.length t.tags <> 0 then t.tags else t.spare_tags);
+    }
+  in
+  (* Poison the handle: every access through it now fails [check]. *)
+  t.words <- [||];
+  t.stamps <- [||];
+  t.tags <- Bytes.empty;
+  t.spare_tags <- Bytes.empty;
+  t.on_write <- ignore_write;
+  s
 
 let size t = Array.length t.words
 let counters t = t.counters
@@ -113,8 +165,15 @@ let mark_epoch t key =
 (* {1 Validity tags} *)
 
 let enable_tags t =
-  if Bytes.length t.tags = 0 then
-    t.tags <- Bytes.make (Array.length t.words) '\000'
+  if Bytes.length t.tags = 0 then begin
+    let size = Array.length t.words in
+    if Bytes.length t.spare_tags = size then begin
+      Bytes.fill t.spare_tags 0 size '\000';
+      t.tags <- t.spare_tags;
+      t.spare_tags <- Bytes.empty
+    end
+    else t.tags <- Bytes.make size '\000'
+  end
 
 let tags_enabled t = Bytes.length t.tags <> 0
 

@@ -13,8 +13,30 @@
 
 type t
 
-val create : ?size:int -> Trace.Counters.t -> t
-(** [size] defaults to 2^21 words. *)
+type storage
+(** The arrays behind a memory — words, write stamps and tag store —
+    detached by {!release} so a later {!create} can reuse them instead
+    of allocating. *)
+
+val default_size : int
+(** 2^21 words. *)
+
+val create : ?size:int -> ?storage:storage -> Trace.Counters.t -> t
+(** [size] defaults to {!default_size}, or to [storage]'s size when
+    that is given.  A memory built on [storage] is indistinguishable
+    from a fresh one: the pages the storage's last owner stamped are
+    zeroed (the last page clipped to the memory's size), every stamp
+    is 0, the clock, dirty map and rewind mark start over, and tags are
+    disabled — {!enable_tags} later hands back the old tag store, all
+    clear.  Raises [Invalid_argument] if [size] and [storage] disagree. *)
+
+val release : t -> storage
+(** Detach [t]'s arrays and poison [t]: every later {!read},
+    {!write}, {!set_tag} or other addressed access through [t] raises
+    [Invalid_argument], and [t] has {!size} 0.  The caller owns the
+    returned storage and must hand it to at most one {!create}: two
+    live memories on one storage would alias.  Release a memory only
+    once nothing will touch it again. *)
 
 val size : t -> int
 val counters : t -> Trace.Counters.t

@@ -176,7 +176,7 @@ type t = {
   resolve_slots : int array;
   resolve_entries : resolve_entry array;
   mutable fetch_gen : int;
-  watched : Bytes.t;
+  mutable watched : Bytes.t;
   mutable sdw_cache_base : int;
   mutable resident_bases : int list;
   mutable injector : Hw.Inject.t option;
@@ -210,8 +210,8 @@ let icache_entries = 4096
 let watch t ~bit table addr key =
   if not (List.mem key (Hashtbl.find_all table addr)) then
     Hashtbl.add table addr key;
-  Bytes.unsafe_set t.watched addr
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.watched addr) lor bit))
+  Bytes.set t.watched addr
+    (Char.unsafe_chr (Char.code (Bytes.get t.watched addr) lor bit))
 
 let unwatch_all table addr =
   while Hashtbl.mem table addr do
@@ -312,12 +312,35 @@ let disassemble_at t ~segno ~wordno =
           | Ok instr -> Some (Format.asprintf "%a" Instr.pp instr)
           | Error _ -> None))
 
+(* Storage a dead machine handed back through {!release}: its memory's
+   arrays and its [watched] map.  One slot per domain, so machines built
+   on different domains never share it; the next {!create} of the same
+   memory size takes it instead of allocating. *)
+type spare = { storage : Hw.Memory.storage; spare_watched : Bytes.t }
+
+let spare_slot : spare option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let take_spare size =
+  let slot = Domain.DLS.get spare_slot in
+  match !slot with
+  | Some s when Bytes.length s.spare_watched = size ->
+      slot := None;
+      Bytes.fill s.spare_watched 0 size '\000';
+      Some s
+  | Some _ | None -> None
+
 let create ?(mode = Ring_hardware)
     ?(stack_rule = Rings.Stack_rule.Segno_equals_ring)
-    ?(gate_on_same_ring = true) ?(use_r1_in_indirection = true) ?mem_size ()
-    =
+    ?(gate_on_same_ring = true) ?(use_r1_in_indirection = true)
+    ?(mem_size = Hw.Memory.default_size) () =
   let counters = Trace.Counters.create () in
-  let mem = Hw.Memory.create ?size:mem_size counters in
+  let mem, watched =
+    match take_spare mem_size with
+    | Some s -> (Hw.Memory.create ~storage:s.storage counters, s.spare_watched)
+    | None ->
+        (Hw.Memory.create ~size:mem_size counters, Bytes.make mem_size '\000')
+  in
   let log = Trace.Event.create_log () in
   (* Events are stamped with the modeled cycle count at record time. *)
   Trace.Event.set_clock log (fun () -> Trace.Counters.cycles counters);
@@ -351,7 +374,7 @@ let create ?(mode = Ring_hardware)
       resolve_slots = Array.make resolve_cache_slots (-1);
       resolve_entries = Array.make resolve_cache_slots dummy_resolve_entry;
       fetch_gen = 0;
-      watched = Bytes.make (Hw.Memory.size mem) '\000';
+      watched;
       sdw_cache_base = -1;
       resident_bases = [];
       injector = None;
@@ -386,6 +409,14 @@ let create ?(mode = Ring_hardware)
   Trace.Event.set_stats t.log counters;
   Trace.Span.set_stats t.spans counters;
   t
+
+let release t =
+  if Bytes.length t.watched <> 0 then begin
+    let storage = Hw.Memory.release t.mem in
+    let spare_watched = t.watched in
+    t.watched <- Bytes.empty;
+    Domain.DLS.get spare_slot := Some { storage; spare_watched }
+  end
 
 let ring t = t.regs.Hw.Registers.ipr.Hw.Registers.ring
 

@@ -200,11 +200,12 @@ type t = {
       (** Generation stamp for [fetch_cache]; advanced by descriptor
           writes, SDW invalidation and modeled tag-store flushes, each
           of which could change what a cached fetch froze. *)
-  watched : Bytes.t;
+  mutable watched : Bytes.t;
       (** One byte per memory word: which host caches have state
           keyed off this absolute address (bit 1 SDW, 2 PTW, 4
           decoded-instruction, 8 fetch memo).  Makes the common
-          unwatched store a single byte test in the write observer. *)
+          unwatched store a single byte test in the write observer.
+          Empty once the machine is {!release}d. *)
   mutable sdw_cache_base : int;
       (** DBR base the host caches were last synchronized against;
           [fetch_sdw] lazily detects DBR reloads through it. *)
@@ -277,7 +278,24 @@ val create :
   unit ->
   t
 (** Defaults: hardware rings, [Segno_equals_ring], both ablation
-    switches on (the paper's rules). *)
+    switches on (the paper's rules), [mem_size] {!Hw.Memory.default_size}.
+    When this domain holds storage that a {!release} handed back for
+    the same [mem_size], the machine is built on it instead of
+    allocating; the result is indistinguishable from a machine on
+    fresh storage. *)
+
+val release : t -> unit
+(** Hand a dead machine's storage — its memory's words, write stamps
+    and tag store, and its [watched] map — to this domain's free slot,
+    where the next {!create} of the same memory size takes it.  The
+    slot holds one machine's storage; a second release replaces it.
+
+    The caller gives up the machine: [t]'s arrays are swapped for
+    empty ones, so any later memory access through [t], or through
+    [t.mem] held elsewhere, raises [Invalid_argument] rather than
+    alias the next machine.  Release only after everything still
+    needed from [t] (counters, histograms, reports) has been copied
+    out.  Releasing twice is a no-op. *)
 
 val ring : t -> Rings.Ring.t
 (** Current ring of execution (IPR.RING). *)

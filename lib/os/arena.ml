@@ -9,11 +9,13 @@
 
    One machine hosts at most [wave_capacity] processes (memory holds
    eight process regions), so a campaign runs in waves: tenants
-   [0..7] on one fresh machine, [8..15] on the next, and so on.  Wave
+   [0..7] on one machine, [8..15] on the next, and so on.  Wave
    composition is a pure function of the tenant list, and every wave
-   gets its own store, machine and injector — so waves can run
-   sequentially or spread over domains and the assembled report is
-   byte-identical either way. *)
+   gets its own store, machine and injector.  A wave's machine is
+   built on the memory the previous wave on the same domain released
+   ({!Isa.Machine.release}), reset to exactly the state fresh storage
+   has — so waves can run sequentially or spread over domains and the
+   assembled report is byte-identical either way. *)
 
 type quota = { cycles : int; mem : int; faults : int; io : int }
 
@@ -267,6 +269,9 @@ let run_wave ?mode ?(quantum = 50) ?inject ~quota ~wave tenants =
         })
       spawned
   in
+  (* Nothing in the result refers to the machine: recycle its memory
+     for the next wave on this domain. *)
+  Isa.Machine.release m;
   { wave; bills; violations = List.rev !violations; audits = !audits }
 
 type report = {

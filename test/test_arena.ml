@@ -172,6 +172,138 @@ let test_with_injection () =
     (Os.Arena.report_json r)
     (Os.Arena.report_json again)
 
+(* {1 Recycled memory equals fresh memory}
+
+   Waves hand their machine's storage to the next machine built on the
+   same domain ([Isa.Machine.release]).  A machine built on recycled
+   storage must be indistinguishable from one built on fresh storage.
+   The recycled storage here is the worst case: a capability-mode wave
+   under injection dirtied it, left validity tags set and had injected
+   corruption scrubbed, and one extra store stamps the last page. *)
+
+let store_of tenants =
+  let store = Os.Store.create () in
+  List.iter
+    (fun (t : Os.Arena.tenant) ->
+      List.iter
+        (fun (name, acl, src) -> Os.Store.add_source store ~name ~acl src)
+        t.Os.Arena.segments)
+    tenants;
+  store
+
+let spawn_all sys tenants =
+  List.map
+    (fun (t : Os.Arena.tenant) ->
+      match
+        Os.System.spawn sys ~paged:t.Os.Arena.paged ~pname:t.Os.Arena.name
+          ~user:t.Os.Arena.name
+          ~segments:(List.map (fun (n, _, _) -> n) t.Os.Arena.segments)
+          ~start:t.Os.Arena.start ~ring:t.Os.Arena.ring
+      with
+      | Ok e -> e
+      | Error msg -> Alcotest.failf "spawn %s: %s" t.Os.Arena.name msg)
+    tenants
+
+let attach_injector sys entries plan =
+  let inj = Hw.Inject.create plan in
+  List.iter
+    (fun (e : Os.System.entry) ->
+      List.iter
+        (fun (base, len) -> Hw.Inject.register_descriptor_range inj ~base ~len)
+        (Os.Process.descriptor_ranges e.Os.System.process))
+    entries;
+  Isa.Machine.attach_injector (Os.System.machine sys) inj;
+  inj
+
+(* Dirty a machine, release it into this domain's slot and return the
+   released [watched] map, by which the next machine is recognised as
+   recycled. *)
+let dirty_and_release () =
+  let tenants = Serve.Tenants.generate ~seed:11 ~tenants:8 () in
+  let sys =
+    Os.System.create ~mode:Isa.Machine.Ring_capability
+      ~store:(store_of tenants) ()
+  in
+  let entries = spawn_all sys tenants in
+  let inj = attach_injector sys entries (Hw.Inject.default_plan ~seed:11) in
+  ignore (Os.System.run ~max_slices:2_000 sys);
+  let m = Os.System.machine sys in
+  let mem = m.Isa.Machine.mem in
+  Alcotest.(check bool) "dirty: injected" true
+    (Trace.Counters.injected m.Isa.Machine.counters > 0);
+  Alcotest.(check int) "dirty: corruption scrubbed" 0 (Hw.Inject.poisoned inj);
+  Alcotest.(check bool) "dirty: tags set" true
+    (Hw.Memory.tagged_addrs mem <> []);
+  Hw.Memory.write_silent mem (Hw.Memory.size mem - 1) 1;
+  let watched = m.Isa.Machine.watched in
+  Isa.Machine.release m;
+  watched
+
+let check_pristine (m : Isa.Machine.t) ~cap =
+  let mem = m.Isa.Machine.mem in
+  for a = 0 to Hw.Memory.size mem - 1 do
+    if Hw.Memory.read_silent mem a <> 0 then
+      Alcotest.failf "recycled word %d not zero" a
+  done;
+  if Bytes.exists (fun c -> c <> '\000') m.Isa.Machine.watched then
+    Alcotest.fail "recycled watched map not clear";
+  Alcotest.(check bool) "tags enabled" cap (Hw.Memory.tags_enabled mem);
+  Alcotest.(check (list int)) "no tags" [] (Hw.Memory.tagged_addrs mem);
+  Alcotest.(check (list int)) "no stamps" []
+    (Hw.Memory.pages_since mem ~epoch:0)
+
+let test_recycled_equals_fresh (name, mode) inject () =
+  let cap = mode = Isa.Machine.Ring_capability in
+  let tenants = Serve.Tenants.generate ~seed:5 ~tenants:8 () in
+  (* Captures right after create, and again after spawning. *)
+  let watched = dirty_and_release () in
+  let recycled = Os.System.create ~mode ~store:(store_of tenants) () in
+  let fresh = Os.System.create ~mode ~store:(store_of tenants) () in
+  let mr = Os.System.machine recycled in
+  Alcotest.(check bool) "built on the released storage" true
+    (mr.Isa.Machine.watched == watched);
+  check_pristine mr ~cap;
+  Alcotest.(check string) (name ^ ": capture after create")
+    (Os.Snapshot.capture fresh) (Os.Snapshot.capture recycled);
+  let er = spawn_all recycled tenants and ef = spawn_all fresh tenants in
+  Option.iter
+    (fun plan ->
+      ignore (attach_injector recycled er plan);
+      ignore (attach_injector fresh ef plan))
+    inject;
+  Alcotest.(check string) (name ^ ": capture after spawn")
+    (Os.Snapshot.capture fresh) (Os.Snapshot.capture recycled);
+  (* A whole wave: here on recycled storage, in a new domain (whose
+     slot is empty) on fresh. *)
+  let run () =
+    Os.Arena.run_wave ~mode ?inject ~quota:Os.Arena.default_quota ~wave:0
+      tenants
+  in
+  ignore (dirty_and_release ());
+  let r = run () in
+  let f = Domain.join (Domain.spawn run) in
+  Alcotest.(check int) "audits" f.Os.Arena.audits r.Os.Arena.audits;
+  Alcotest.(check (list string)) "violations" f.Os.Arena.violations
+    r.Os.Arena.violations;
+  Alcotest.(check bool) (name ^ ": same bills") true
+    (f.Os.Arena.bills = r.Os.Arena.bills)
+
+let recycle_cases =
+  List.concat_map
+    (fun ((name, _) as mode) ->
+      [
+        Alcotest.test_case (name ^ ": recycled = fresh") `Quick
+          (test_recycled_equals_fresh mode None);
+        Alcotest.test_case (name ^ "+inject: recycled = fresh") `Quick
+          (test_recycled_equals_fresh mode
+             (Some (Hw.Inject.default_plan ~seed:3)));
+      ])
+    [
+      ("hw", Isa.Machine.Ring_hardware);
+      ("645", Isa.Machine.Ring_software_645);
+      ("cap", Isa.Machine.Ring_capability);
+    ]
+
 let suite =
   [
     ( "arena",
@@ -190,5 +322,6 @@ let suite =
           `Quick test_generator;
         Alcotest.test_case "zero-leak gate holds under injection" `Quick
           test_with_injection;
-      ] );
+      ]
+      @ recycle_cases );
   ]

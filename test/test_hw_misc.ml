@@ -47,6 +47,53 @@ let test_memory_masks () =
   Alcotest.(check int) "written masked to 36 bits" Hw.Word.mask
     (Hw.Memory.read mem 0)
 
+(* A released memory comes back exactly as [create] builds it: the
+   last, partial page (1500 is not a multiple of [page_words]) is
+   zeroed up to the memory's size, the stamps, dirty map and mark start
+   over, and the tag store is disabled until enabled again, then clear. *)
+let test_memory_release_resets () =
+  let size = 1500 in
+  Alcotest.(check bool) "size is not page-aligned" true
+    (size mod Hw.Memory.page_words <> 0);
+  let mem = Hw.Memory.create ~size (counters ()) in
+  Hw.Memory.enable_tags mem;
+  Hw.Memory.write_silent mem 3 7;
+  Hw.Memory.write_silent mem (size - 1) 42;
+  Hw.Memory.set_tag mem (size - 1);
+  Hw.Memory.set_tag mem 0;
+  Hw.Memory.set_mark mem "image";
+  Hw.Memory.clear_dirty mem;
+  Hw.Memory.write_silent mem 5 1;
+  let again = Hw.Memory.create ~storage:(Hw.Memory.release mem) (counters ()) in
+  Alcotest.(check int) "same size" size (Hw.Memory.size again);
+  for a = 0 to size - 1 do
+    if Hw.Memory.read_silent again a <> 0 then
+      Alcotest.failf "word %d not zero after release" a
+  done;
+  Alcotest.(check (list int)) "nothing dirty" [] (Hw.Memory.dirty_pages again);
+  Alcotest.(check (list int)) "nothing ever written" []
+    (Hw.Memory.pages_since again ~epoch:0);
+  Alcotest.(check int) "dirty generation" 0 (Hw.Memory.dirty_generation again);
+  Alcotest.(check int) "mark gone" 0 (Hw.Memory.mark_epoch again "image");
+  Alcotest.(check int) "clock starts over" 1 (Hw.Memory.epoch again);
+  Alcotest.(check bool) "tags disabled" false (Hw.Memory.tags_enabled again);
+  Hw.Memory.enable_tags again;
+  Alcotest.(check (list int)) "tags clear" [] (Hw.Memory.tagged_addrs again)
+
+let test_memory_release_poisons () =
+  let mem = Hw.Memory.create ~size:1500 (counters ()) in
+  Hw.Memory.enable_tags mem;
+  let _storage = Hw.Memory.release mem in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s through a released memory accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "read" (fun () -> ignore (Hw.Memory.read mem 0));
+  raises "write" (fun () -> Hw.Memory.write mem 0 1);
+  raises "set_tag" (fun () -> Hw.Memory.set_tag mem 0);
+  Alcotest.(check int) "size" 0 (Hw.Memory.size mem)
+
 (* Registers *)
 
 let test_registers_prs () =
@@ -154,6 +201,10 @@ let suite =
           test_memory_rw_and_accounting;
         Alcotest.test_case "memory bounds" `Quick test_memory_bounds;
         Alcotest.test_case "memory masks" `Quick test_memory_masks;
+        Alcotest.test_case "released memory resets" `Quick
+          test_memory_release_resets;
+        Alcotest.test_case "released handle poisoned" `Quick
+          test_memory_release_poisons;
         Alcotest.test_case "registers PRs" `Quick test_registers_prs;
         Alcotest.test_case "maximize PR rings" `Quick test_maximize_pr_rings;
         Alcotest.test_case "indicators" `Quick test_indicators;

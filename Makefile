@@ -109,101 +109,12 @@ chaos-smoke:
 	done
 	@echo "chaos-smoke: campaigns deterministic, reports valid, invariants intact"
 
-# Kill-and-resume equivalence at the CLI: run the journalled workload
-# uninterrupted, then kill it at three cycle points and resume each
-# from its last checkpoint.  The resumed stdout, device journal and
-# metrics must be byte-identical to the uninterrupted run's (the two
-# session-local counters — restores, journal_replays_skipped — are
-# masked: a resumed run legitimately owns those).  All runs must pass
-# the same observability flags; the image carries the exporters' state.
-SNAPSHOT_LOCAL_FILTER = sed -E 's/"(restores|journal_replays_skipped)": [0-9]+/"\1": X/'
-
+# Kill-and-resume equivalence at the CLI: three kill points, the same
+# under fault injection, delta chains folded and rebased on disk, resume
+# through the fold, and the mixed-chain refusal.  The checks live in the
+# cram test test/cram/snapshot_smoke.t, which `dune runtest` also runs.
 snapshot-smoke:
-	dune build bin/ringsim.exe
-	@rm -rf /tmp/snapshot_smoke && mkdir -p /tmp/snapshot_smoke
-	_build/default/bin/ringsim.exe examples/programs/journal.rng \
-	  --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/base.snap \
-	  --metrics-out /tmp/snapshot_smoke/base.metrics \
-	  > /tmp/snapshot_smoke/base.out
-	@for k in 150 400 900; do \
-	  _build/default/bin/ringsim.exe examples/programs/journal.rng \
-	    --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/k$$k.snap \
-	    --metrics-out /tmp/snapshot_smoke/dead$$k.metrics --kill-after $$k \
-	    > /tmp/snapshot_smoke/dead$$k.out 2>/dev/null || exit 1; \
-	  _build/default/bin/ringsim.exe examples/programs/journal.rng \
-	    --restore /tmp/snapshot_smoke/k$$k.snap \
-	    --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/k$$k.snap \
-	    --metrics-out /tmp/snapshot_smoke/res$$k.metrics \
-	    > /tmp/snapshot_smoke/res$$k.out || exit 1; \
-	  diff /tmp/snapshot_smoke/base.out /tmp/snapshot_smoke/res$$k.out \
-	    || { echo "snapshot-smoke: kill at $$k: stdout DIFFERS after resume"; exit 1; }; \
-	  cmp /tmp/snapshot_smoke/base.snap.journal /tmp/snapshot_smoke/k$$k.snap.journal \
-	    || { echo "snapshot-smoke: kill at $$k: device journal DIFFERS after resume"; exit 1; }; \
-	  $(SNAPSHOT_LOCAL_FILTER) /tmp/snapshot_smoke/base.metrics \
-	    > /tmp/snapshot_smoke/base.metrics.masked; \
-	  $(SNAPSHOT_LOCAL_FILTER) /tmp/snapshot_smoke/res$$k.metrics \
-	    > /tmp/snapshot_smoke/res$$k.metrics.masked; \
-	  diff /tmp/snapshot_smoke/base.metrics.masked /tmp/snapshot_smoke/res$$k.metrics.masked \
-	    || { echo "snapshot-smoke: kill at $$k: metrics DIFFER after resume"; exit 1; }; \
-	done
-	@_build/default/bin/ringsim.exe examples/programs/journal.rng --inject 7 \
-	  --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/ibase.snap \
-	  --metrics-out /tmp/snapshot_smoke/ibase.metrics \
-	  > /tmp/snapshot_smoke/ibase.out
-	@_build/default/bin/ringsim.exe examples/programs/journal.rng --inject 7 \
-	  --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/ik.snap \
-	  --metrics-out /tmp/snapshot_smoke/idead.metrics --kill-after 400 \
-	  > /tmp/snapshot_smoke/idead.out 2>/dev/null || exit 1
-	@_build/default/bin/ringsim.exe examples/programs/journal.rng --inject 7 \
-	  --restore /tmp/snapshot_smoke/ik.snap \
-	  --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/ik.snap \
-	  --metrics-out /tmp/snapshot_smoke/ires.metrics \
-	  > /tmp/snapshot_smoke/ires.out || exit 1
-	@$(SNAPSHOT_LOCAL_FILTER) /tmp/snapshot_smoke/ibase.metrics \
-	  > /tmp/snapshot_smoke/ibase.metrics.masked
-	@$(SNAPSHOT_LOCAL_FILTER) /tmp/snapshot_smoke/ires.metrics \
-	  > /tmp/snapshot_smoke/ires.metrics.masked
-	@diff /tmp/snapshot_smoke/ibase.out /tmp/snapshot_smoke/ires.out \
-	  && cmp /tmp/snapshot_smoke/ibase.snap.journal /tmp/snapshot_smoke/ik.snap.journal \
-	  && diff /tmp/snapshot_smoke/ibase.metrics.masked /tmp/snapshot_smoke/ires.metrics.masked \
-	  || { echo "snapshot-smoke: resume under injection DIFFERS"; exit 1; }
-	@echo "snapshot-smoke: kill-and-resume byte-identical at 3 kill points (+injection)"
-	@# Delta-chain GC: this cadence captures 12 deltas over the run, so
-	@# the fold-every-8 GC fires once: BASE is rewritten as the flatten
-	@# of the chain, the folded delta files deleted, and capture
-	@# continues on the rebased chain (d0001 restarts).  Fewer than 8
-	@# surviving delta files is therefore proof the fold happened.
-	@# Kill-and-resume through the folded chain must stay byte-identical.
-	@_build/default/bin/ringsim.exe examples/programs/journal.rng \
-	  --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/gc.snap \
-	  > /tmp/snapshot_smoke/gc.out
-	@ls /tmp/snapshot_smoke/gc.snap.d* > /dev/null 2>&1 \
-	  || { echo "snapshot-smoke: gc run left no delta files"; exit 1; }
-	@test $$(ls /tmp/snapshot_smoke/gc.snap.d* | wc -l) -lt 8 \
-	  || { echo "snapshot-smoke: gc never folded the chain"; exit 1; }
-	@rm -f /tmp/snapshot_smoke/gck.snap*
-	@_build/default/bin/ringsim.exe examples/programs/journal.rng \
-	  --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/gck.snap \
-	  --kill-after 420 > /tmp/snapshot_smoke/gcdead.out 2>/dev/null || exit 1
-	@_build/default/bin/ringsim.exe examples/programs/journal.rng \
-	  --restore /tmp/snapshot_smoke/gck.snap \
-	  --checkpoint-every 100 --checkpoint-to /tmp/snapshot_smoke/gck.snap \
-	  > /tmp/snapshot_smoke/gcres.out || exit 1
-	@diff /tmp/snapshot_smoke/gc.out /tmp/snapshot_smoke/gcres.out \
-	  || { echo "snapshot-smoke: resume through folded chain DIFFERS"; exit 1; }
-	@# Mixing delta files from another chain must be refused up front
-	@# (Stale_base/Broken_chain), exit 2, before any state is touched.
-	@cp /tmp/snapshot_smoke/k400.snap /tmp/snapshot_smoke/mix.snap
-	@cp /tmp/snapshot_smoke/ibase.snap.d0001 /tmp/snapshot_smoke/mix.snap.d0001
-	@_build/default/bin/ringsim.exe examples/programs/journal.rng \
-	  --restore /tmp/snapshot_smoke/mix.snap \
-	  > /dev/null 2>/tmp/snapshot_smoke/mix.err; \
-	  test $$? -eq 2 \
-	  || { echo "snapshot-smoke: mixed-chain restore did not exit 2"; exit 1; }
-	@grep -qE "stale base|chain" /tmp/snapshot_smoke/mix.err \
-	  || { echo "snapshot-smoke: mixed-chain restore error unhelpful"; \
-	       cat /tmp/snapshot_smoke/mix.err; exit 1; }
-	@echo "snapshot-smoke: delta chains fold, resume and refuse mixed links on disk"
+	dune build @test/cram/snapshot_smoke
 
 # Multi-tenant arena gate: billing reports deterministic and
 # shard-count invariant, adversaries quarantined, and a 20-campaign

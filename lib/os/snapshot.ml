@@ -78,16 +78,22 @@ let header_len = 8 + 8 + 8 + 8
    hash lives in a local [Int64] ref, which the native compiler keeps
    unboxed in a register: the loop allocates nothing and costs one
    xor and one multiply per byte.  Every warm boot and every sealed
-   delta checksums its whole payload, so this is on both hot paths. *)
-let checksum s =
+   delta checksums its whole payload, so this is on both hot paths.
+   [checksum_sub] hashes a range in place: a sealed image's payload is
+   checked where it lies, never copied out first. *)
+let checksum_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Snapshot.checksum_sub";
   let h = ref 0xcbf29ce484222325L in
-  for i = 0 to String.length s - 1 do
+  for i = pos to pos + len - 1 do
     h :=
       Int64.mul
         (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
         0x100000001b3L
   done;
   Int64.to_int !h
+
+let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
 
 (* {1 Writer primitives} *)
 
@@ -1218,12 +1224,15 @@ let apply_system r sys =
   if n <> List.length entries then shape "process count differs";
   List.iter (apply_entry r) entries
 
-let parse_header image =
-  if String.length image < String.length magic then raise (Fail Truncated);
-  if not (String.equal (String.sub image 0 (String.length magic)) magic) then
+(* Validate a sealed image's header — magic [m], version, length —
+   and its payload checksum, and return a reader at the payload.  Full
+   images and deltas share the header shape and differ in magic. *)
+let parse_sealed m image =
+  if String.length image < String.length m then raise (Fail Truncated);
+  if not (String.equal (String.sub image 0 (String.length m)) m) then
     raise (Fail Bad_magic);
   if String.length image < header_len then raise (Fail Truncated);
-  let hr = { data = image; pos = String.length magic } in
+  let hr = { data = image; pos = String.length m } in
   let v = r_int hr in
   if v <> version then raise (Fail (Bad_version { expected = version; got = v }));
   let len = r_int hr in
@@ -1232,9 +1241,16 @@ let parse_header image =
   if String.length image - header_len < len then raise (Fail Truncated);
   if String.length image - header_len > len then
     corrupt "trailing bytes after payload";
-  if checksum (String.sub image header_len len) <> sum then
+  if checksum_sub image ~pos:header_len ~len <> sum then
     raise (Fail Checksum_mismatch);
   { data = image; pos = header_len }
+
+let parse_header image = parse_sealed magic image
+
+(* The payload checksum a sealed image carries in its header — once
+   [parse_sealed] has accepted the image, the checksum of its payload
+   without hashing it again. *)
+let sealed_sum image = Int64.to_int (String.get_int64_be image (header_len - 8))
 
 (* Trusted fast path for images this very process captured: header and
    checksum are still verified (cheap), but the re-capture self-check
@@ -1353,8 +1369,6 @@ type chain = {
   mutable deltas_taken : int;
 }
 
-let payload_of image = String.sub image header_len (String.length image - header_len)
-
 let seal_image_sum ~magic:m ~sum payload =
   let hdr = Buffer.create header_len in
   Buffer.add_string hdr m;
@@ -1371,7 +1385,7 @@ let start_chain sys =
   let mem = m.Isa.Machine.mem in
   let image = capture sys in
   ( {
-      tail_sum = checksum (payload_of image);
+      tail_sum = sealed_sum image;
       since = Hw.Memory.epoch mem;
       chain_mem_size = Hw.Memory.size mem;
       deltas_taken = 0;
@@ -1464,76 +1478,80 @@ let skip_machine_pre r =
   ignore (r_bool r);
   ignore (r_bool r)
 
-(* Split a full payload into (pre bytes, memory words, post bytes). *)
-let split_full_payload payload =
-  let r = { data = payload; pos = 0 } in
+(* Position a reader just past a full payload's pre section, at the
+   memory section, and return the memory size. *)
+let memory_size r =
   skip_counters r;
   skip_machine_pre r;
-  let pre_end = r.pos in
   let size = r_int r in
   if size < 0 then corrupt "negative memory size";
-  let count = r_int r in
-  if count < 0 then corrupt "negative memory pair count";
-  let words = Array.make size 0 in
-  let prev = ref (-1) in
-  for _ = 1 to count do
-    let a = r_int r in
-    let w = r_int r in
-    if a <= !prev || a >= size then corrupt "memory pairs not ascending";
-    words.(a) <- w;
-    prev := a
-  done;
-  let mem_end = r.pos in
-  ( String.sub payload 0 pre_end,
-    words,
-    String.sub payload mem_end (String.length payload - mem_end) )
+  size
 
-let parse_delta_header image =
-  if String.length image < String.length delta_magic then raise (Fail Truncated);
-  if
-    not
-      (String.equal (String.sub image 0 (String.length delta_magic)) delta_magic)
-  then raise (Fail Bad_magic);
-  if String.length image < header_len then raise (Fail Truncated);
-  let hr = { data = image; pos = String.length delta_magic } in
-  let v = r_int hr in
-  if v <> version then raise (Fail (Bad_version { expected = version; got = v }));
-  let len = r_int hr in
-  let sum = r_int hr in
-  if len < 0 then corrupt "negative payload length";
-  if String.length image - header_len < len then raise (Fail Truncated);
-  if String.length image - header_len > len then
-    corrupt "trailing bytes after payload";
-  if checksum (String.sub image header_len len) <> sum then
-    raise (Fail Checksum_mismatch);
-  { data = image; pos = header_len }
+(* A byte range of one image — the pre and post sections [flatten]
+   splices into its output without copying them out first. *)
+type slice = { src : string; off : int; len : int }
 
+let r_slice r n =
+  need r n;
+  let s = { src = r.data; off = r.pos; len = n } in
+  r.pos <- r.pos + n;
+  s
+
+(* Where a dirty page's final contents lie: in the newest delta naming
+   it, [nnz] (offset, word) pairs from byte [at]. *)
+type page_src = { delta : string; at : int; nnz : int }
+
+let int_at s pos = Int64.to_int (String.get_int64_be s pos)
+
+(* The fold is a merge, never a dense copy of memory: its cost is the
+   base's bytes plus the deltas' bytes, and no allocation depends on
+   the memory size, so a corrupt size field cannot ask for a huge
+   array.  The base's (address, word) pairs are validated where they
+   lie; each delta is validated in full and records, for each page it
+   carries, where the page's pairs start (a later delta replaces an
+   earlier one's entry).  The re-encode walks the dirty pages in
+   ascending order: base pairs below a dirty page are copied, the base
+   pairs on it are skipped, and the delta's page-relative pairs are
+   emitted at absolute addresses.  The output is the bytes the dense
+   fold — zero the page, lay the pairs over it, re-encode every nonzero
+   word — produced. *)
 let flatten ~base deltas =
   try
-    (* Validate the base image (magic, version, checksum) and split it. *)
-    let (_ : reader) = parse_header base in
-    let words = ref [||] in
-    let pre = ref "" in
-    let post = ref "" in
-    let p, w, q = split_full_payload (payload_of base) in
-    pre := p;
-    words := w;
-    post := q;
-    let prev_sum = ref (checksum (payload_of base)) in
+    let r = parse_header base in
+    let size = memory_size r in
+    (* The pre section ends where the 8-byte memory size begins. *)
+    let pre =
+      ref { src = base; off = header_len; len = r.pos - 8 - header_len }
+    in
+    let count = r_int r in
+    if count < 0 then corrupt "negative memory pair count";
+    let base_pairs = r.pos in
+    let prev = ref (-1) in
+    for _ = 1 to count do
+      let a = r_int r in
+      let (_ : int) = r_int r in
+      if a <= !prev || a >= size then corrupt "memory pairs not ascending";
+      prev := a
+    done;
+    let post = ref (r_slice r (String.length base - r.pos)) in
+    let owned = Hashtbl.create 64 in
+    let prev_sum = ref (sealed_sum base) in
     List.iteri
       (fun i delta ->
-        let r = parse_delta_header delta in
+        let r = parse_sealed delta_magic delta in
         let base_sum = r_int r in
         if base_sum <> !prev_sum then
           raise (Fail (if i = 0 then Stale_base else Broken_chain i));
-        let pre_bytes = r_str r in
-        let size = r_int r in
-        if size <> Array.length !words then
+        let pre_len = r_int r in
+        if pre_len < 0 then corrupt "negative string length";
+        let pre_bytes = r_slice r pre_len in
+        let delta_size = r_int r in
+        if delta_size <> size then
           raise
             (Fail
                (Shape_mismatch
-                  (Printf.sprintf "delta %d memory size %d, base has %d" i size
-                     (Array.length !words))));
+                  (Printf.sprintf "delta %d memory size %d, base has %d" i
+                     delta_size size)));
         let npages = r_int r in
         if npages < 0 then corrupt "negative page count";
         let prev_page = ref (-1) in
@@ -1546,12 +1564,11 @@ let flatten ~base deltas =
             base_addr < 0 || base_addr >= size
             || len <> min Hw.Memory.page_words (size - base_addr)
           then corrupt "delta page out of range";
-          (* Zero first: a sparse page is the page's whole contents,
-             so a word that dropped to zero must not survive from the
-             base. *)
-          Array.fill !words base_addr len 0;
           let nnz = r_int r in
           if nnz < 0 || nnz > len then corrupt "delta page pair count";
+          (* A sparse page is the page's whole contents: it replaces
+             whatever the base or an older delta held there. *)
+          Hashtbl.replace owned p { delta; at = r.pos; nnz };
           let prev_off = ref (-1) in
           for _ = 1 to nnz do
             let off = r_int r in
@@ -1559,37 +1576,59 @@ let flatten ~base deltas =
             if off <= !prev_off || off >= len then
               corrupt "delta page pairs not ascending";
             if w = 0 then corrupt "zero word in sparse delta page";
-            !words.(base_addr + off) <- w;
             prev_off := off
           done;
           prev_page := p
         done;
-        let post_bytes =
-          String.sub r.data r.pos (String.length r.data - r.pos)
-        in
         pre := pre_bytes;
-        post := post_bytes;
-        prev_sum := checksum (payload_of delta))
+        post := r_slice r (String.length delta - r.pos);
+        prev_sum := sealed_sum delta)
       deltas;
     (* Re-encode: pre ++ sparse memory ++ post is exactly what a full
        capture at the last delta's capture point serialized. *)
-    let b = Buffer.create (1 lsl 16) in
-    Buffer.add_string b !pre;
-    let size = Array.length !words in
-    w_int b size;
-    let pairs = Buffer.create 65536 in
-    let count = ref 0 in
-    for a = 0 to size - 1 do
-      let w = !words.(a) in
+    let pairs = Buffer.create ((16 * count) + 4096) in
+    let emitted = ref 0 in
+    (* Every pair is re-encoded from its decoded value, as the dense
+       fold did, so even a non-canonical encoding in a crafted image
+       folds to the same bytes; a zero word folds to nothing. *)
+    let emit a w =
       if w <> 0 then begin
-        incr count;
         w_int pairs a;
-        w_int pairs w
+        w_int pairs w;
+        incr emitted
       end
-    done;
-    w_int b !count;
+    in
+    let next = ref 0 in
+    let addr_of k = int_at base (base_pairs + (16 * k)) in
+    let copy_base_below limit =
+      while !next < count && addr_of !next < limit do
+        emit (addr_of !next) (int_at base (base_pairs + (16 * !next) + 8));
+        incr next
+      done
+    in
+    let pages =
+      List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) owned [])
+    in
+    List.iter
+      (fun p ->
+        let lo = p * Hw.Memory.page_words in
+        copy_base_below lo;
+        while !next < count && addr_of !next < lo + Hw.Memory.page_words do
+          incr next
+        done;
+        let { delta; at; nnz } = Hashtbl.find owned p in
+        for k = 0 to nnz - 1 do
+          let pair = at + (16 * k) in
+          emit (lo + int_at delta pair) (int_at delta (pair + 8))
+        done)
+      pages;
+    copy_base_below max_int;
+    let b = Buffer.create (!pre.len + 16 + Buffer.length pairs + !post.len) in
+    Buffer.add_substring b !pre.src !pre.off !pre.len;
+    w_int b size;
+    w_int b !emitted;
     Buffer.add_buffer b pairs;
-    Buffer.add_string b !post;
+    Buffer.add_substring b !post.src !post.off !post.len;
     Ok (seal_image ~magic (Buffer.contents b))
   with
   | Fail e -> Error e
@@ -1606,18 +1645,19 @@ let restore_chain sys ~base deltas =
    chain's memory epoch is untouched — only the tail link and the
    delta count move.  The base is validated (magic, version, checksum,
    memory size) before the chain is touched, so a failed rebase leaves
-   the chain usable. *)
+   the chain usable.  Only the header and the sections before the
+   memory size are read: the memory pairs themselves are the next
+   [flatten]'s to validate. *)
 let rebase chain ~base =
   try
-    let (_ : reader) = parse_header base in
-    let _, words, _ = split_full_payload (payload_of base) in
-    if Array.length words <> chain.chain_mem_size then
+    let size = memory_size (parse_header base) in
+    if size <> chain.chain_mem_size then
       raise
         (Fail
            (Shape_mismatch
-              (Printf.sprintf "rebase image memory size %d, chain has %d"
-                 (Array.length words) chain.chain_mem_size)));
-    chain.tail_sum <- checksum (payload_of base);
+              (Printf.sprintf "rebase image memory size %d, chain has %d" size
+                 chain.chain_mem_size)));
+    chain.tail_sum <- sealed_sum base;
     chain.deltas_taken <- 0;
     Ok ()
   with

@@ -116,7 +116,11 @@ val rebase : chain -> base:string -> (unit, error) result
     happens and the chain's memory epoch is untouched, so the chain
     keeps accumulating from exactly where it was.  The image is validated
     (magic, version, checksum, memory size) before the chain is
-    touched; on [Error] the chain is unchanged. *)
+    touched; on [Error] the chain is unchanged.
+
+    Cost: one pass over [base]'s bytes (the checksum) plus a decode of
+    the sections before its memory size; the memory pairs are not read
+    and nothing is allocated in proportion to the memory size. *)
 
 val flatten : base:string -> string list -> (string, error) result
 (** [flatten ~base deltas] folds a base image and its deltas (oldest
@@ -125,7 +129,14 @@ val flatten : base:string -> string list -> (string, error) result
     unchanged.  Refuses a first delta that does not reference [base]
     with [Stale_base], a later delta that does not reference its
     predecessor with [Broken_chain], and anything damaged with the
-    same layered errors as {!restore}. *)
+    same layered errors as {!restore}.
+
+    Cost: O(base bytes + delta bytes).  The fold is a merge of the
+    images' sparse memory sections by page — the newest delta naming a
+    page supplies all of it, every other page keeps the base's pairs —
+    so neither its time nor its allocation grows with the memory size,
+    and a corrupt size field cannot trigger a large allocation.  Each
+    image is checksummed once. *)
 
 val restore_chain : System.t -> base:string -> string list -> (unit, error) result
 (** [restore_chain sys ~base deltas] = {!flatten} then {!restore}:

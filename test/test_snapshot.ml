@@ -665,6 +665,226 @@ let test_chain_survives_interlopers_and_counter_rollback () =
   Alcotest.(check int) "refused delta did not advance the chain" length
     (Os.Snapshot.chain_length chain)
 
+(* {1 Differential: the sparse-merge fold against the dense one}
+
+   Randomized chains on a process-less system whose memory is written
+   directly: a size that may end in a partial page, words set and
+   pages cleared back to zero before the base and between deltas, so
+   chains include pages dirtied in several deltas, pages whose words
+   all returned to zero and deltas that carry no page at all.  Every
+   prefix of every chain — the empty one included — must fold to the
+   bytes the dense reference fold ({!Snapshot_ref}) produces, and a
+   damaged chain must be refused with the same error. *)
+
+type mem_op = Set of int * int | Clear of int
+
+type chain_case = {
+  full_pages : int;
+  tail : int;  (* words in a last partial page; 0 = none *)
+  init : mem_op list;  (* before the base *)
+  steps : mem_op list list;  (* one delta after each *)
+}
+
+let case_size c = (c.full_pages * Hw.Memory.page_words) + c.tail
+
+let gen_chain_case ~min_steps =
+  let open QCheck.Gen in
+  let pw = Hw.Memory.page_words in
+  let* full_pages = int_range 1 4 in
+  let* tail = frequency [ (1, return 0); (3, int_range 1 (pw - 1)) ] in
+  let size = (full_pages * pw) + tail in
+  let npages = (size + pw - 1) / pw in
+  let op =
+    let* p = int_range 0 (npages - 1) in
+    let len = min pw (size - (p * pw)) in
+    frequency
+      [
+        (1, return (Clear p));
+        ( 6,
+          let* off =
+            frequency
+              [ (1, return 0); (1, return (len - 1)); (4, int_range 0 (len - 1)) ]
+          in
+          let* w =
+            frequency
+              [
+                (2, return 0);
+                (5, int_range 1 1000);
+                (1, int_range (-(1 lsl 35)) (1 lsl 35));
+              ]
+          in
+          return (Set ((p * pw) + off, w)) );
+      ]
+  in
+  let* init = list_size (int_range 0 12) op in
+  let* steps =
+    list_size (int_range min_steps 6) (list_size (int_range 0 8) op)
+  in
+  return { full_pages; tail; init; steps }
+
+let print_chain_case c =
+  let op = function
+    | Set (a, w) -> Printf.sprintf "%d:=%d" a w
+    | Clear p -> Printf.sprintf "clear %d" p
+  in
+  let ops l = "[" ^ String.concat "; " (List.map op l) ^ "]" in
+  Printf.sprintf "size %d, init %s, steps [%s]" (case_size c) (ops c.init)
+    (String.concat "; " (List.map ops c.steps))
+
+let run_chain_case c =
+  let size = case_size c in
+  let sys = Os.System.create ~mem_size:size ~store:(Os.Store.create ()) () in
+  let mem = machine_mem sys in
+  let apply = function
+    | Set (a, w) -> Hw.Memory.write_silent mem a w
+    | Clear p ->
+        let pw = Hw.Memory.page_words in
+        for a = p * pw to min size ((p + 1) * pw) - 1 do
+          Hw.Memory.write_silent mem a 0
+        done
+  in
+  List.iter apply c.init;
+  let chain, base = Os.Snapshot.start_chain sys in
+  let deltas =
+    List.map
+      (fun ops ->
+        List.iter apply ops;
+        Os.Snapshot.capture_delta sys chain)
+      c.steps
+  in
+  (base, deltas)
+
+let prop_flatten_matches_dense_fold =
+  QCheck.Test.make ~name:"flatten = dense reference fold" ~count:150
+    (QCheck.make ~print:print_chain_case (gen_chain_case ~min_steps:0))
+    (fun c ->
+      let base, deltas = run_chain_case c in
+      List.for_all
+        (fun k ->
+          let prefix = List.filteri (fun j _ -> j < k) deltas in
+          match Os.Snapshot.flatten ~base prefix with
+          | Ok img -> Snapshot_ref.flatten ~base prefix = Ok img
+          | Error e ->
+              QCheck.Test.fail_reportf "prefix %d refused: %a" k
+                Os.Snapshot.pp_error e)
+        (List.init (List.length deltas + 1) Fun.id))
+
+type damage =
+  | Flip of int * int  (* image, byte *)
+  | Truncate of int * int  (* image, length *)
+  | Drop_first  (* the second delta handed as the first: stale base *)
+  | Duplicate of int  (* a link repeated: broken chain *)
+  | Resize of int  (* a delta's memory size changed, resealed *)
+  | Unsort_base
+    (* base pairs out of order (with fewer than two, one pair more
+       claimed than present), resealed *)
+  | Unsort_delta of int  (* a delta's pages or pairs out of order, resealed *)
+
+let print_damage = function
+  | Flip (i, b) -> Printf.sprintf "flip image %d byte %d" i b
+  | Truncate (i, n) -> Printf.sprintf "truncate image %d to %d" i n
+  | Drop_first -> "drop the first delta"
+  | Duplicate i -> Printf.sprintf "duplicate delta %d" i
+  | Resize i -> Printf.sprintf "resize delta %d" i
+  | Unsort_base -> "unsort base pairs"
+  | Unsort_delta i -> Printf.sprintf "unsort delta %d" i
+
+let gen_damage =
+  let open QCheck.Gen in
+  let any = int_bound 1_000_000 in
+  oneof
+    [
+      map2 (fun i b -> Flip (i, b)) any any;
+      map2 (fun i n -> Truncate (i, n)) any any;
+      return Drop_first;
+      map (fun i -> Duplicate i) any;
+      map (fun i -> Resize i) any;
+      return Unsort_base;
+      map (fun i -> Unsort_delta i) any;
+    ]
+
+let set_int b pos n = Bytes.set_int64_be b pos (Int64.of_int n)
+let get_int s pos = Int64.to_int (String.get_int64_be s pos)
+
+let swap_words b x y =
+  let vx = Bytes.get_int64_be b x in
+  Bytes.set_int64_be b x (Bytes.get_int64_be b y);
+  Bytes.set_int64_be b y vx
+
+(* Swap the offsets of the first delta page holding two pairs or,
+   failing that, the first two page numbers. *)
+let unsort_delta d =
+  let b = Bytes.of_string d in
+  let at = Snapshot_ref.delta_size_at d in
+  let npages = get_int d (at + 8) in
+  let rec find k pos =
+    if k = npages then None
+    else
+      let nnz = get_int d (pos + 16) in
+      if nnz >= 2 then Some (pos + 24) else find (k + 1) (pos + 24 + (16 * nnz))
+  in
+  (match find 0 (at + 16) with
+  | Some pairs -> swap_words b pairs (pairs + 16)
+  | None ->
+      if npages >= 2 then
+        let second = at + 16 + 24 + (16 * get_int d (at + 16 + 16)) in
+        swap_words b (at + 16) second);
+  Snapshot_ref.reseal (Bytes.to_string b)
+
+let damage_chain ~base deltas d =
+  let images = Array.of_list (base :: deltas) in
+  let n = List.length deltas in
+  let edit i f =
+    let images = Array.copy images in
+    images.(i) <- f images.(i);
+    (images.(0), List.tl (Array.to_list images))
+  in
+  match d with
+  | Flip (i, pos) ->
+      edit (i mod (n + 1)) (fun s ->
+          let b = Bytes.of_string s in
+          let pos = pos mod Bytes.length b in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
+          Bytes.to_string b)
+  | Truncate (i, len) ->
+      edit (i mod (n + 1)) (fun s -> String.sub s 0 (len mod String.length s))
+  | Drop_first -> (base, List.tl deltas)
+  | Duplicate i ->
+      let i = i mod n in
+      ( base,
+        List.concat_map Fun.id
+          (List.mapi (fun j d -> if j = i then [ d; d ] else [ d ]) deltas) )
+  | Resize i ->
+      edit (1 + (i mod n)) (fun s ->
+          let b = Bytes.of_string s in
+          let at = Snapshot_ref.delta_size_at s in
+          set_int b at (get_int s at + Hw.Memory.page_words);
+          Snapshot_ref.reseal (Bytes.to_string b))
+  | Unsort_base ->
+      edit 0 (fun s ->
+          let b = Bytes.of_string s in
+          let at = Snapshot_ref.memory_pairs_at s in
+          (if get_int s at >= 2 then swap_words b (at + 8) (at + 24)
+           else set_int b at (get_int s at + 1));
+          Snapshot_ref.reseal (Bytes.to_string b))
+  | Unsort_delta i -> edit (1 + (i mod n)) unsort_delta
+
+let prop_damaged_chains_refused_alike =
+  QCheck.Test.make ~name:"damaged chains: flatten errors = reference errors"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (c, d) -> print_chain_case c ^ "; " ^ print_damage d)
+       (QCheck.Gen.pair (gen_chain_case ~min_steps:2) gen_damage))
+    (fun (c, d) ->
+      let base, deltas = run_chain_case c in
+      let base, deltas = damage_chain ~base deltas d in
+      match Os.Snapshot.flatten ~base deltas with
+      (* Only a delta with nothing to reorder can survive its damage
+         (as the last link, resealed but unchanged). *)
+      | Ok _ when (match d with Unsort_delta _ -> false | _ -> true) ->
+          QCheck.Test.fail_reportf "damage accepted"
+      | got -> got = Snapshot_ref.flatten ~base deltas)
+
 let test_journal_line_roundtrip () =
   let record = { Hw.Journal.seq = 7; codes = [ 114; 105; 110 ] } in
   let line = Hw.Journal.to_line ~pname:"printer" record in
@@ -713,5 +933,7 @@ let suite =
           test_rebase_continues_the_chain;
         Alcotest.test_case "chain survives interlopers"
           `Quick test_chain_survives_interlopers_and_counter_rollback;
+        QCheck_alcotest.to_alcotest prop_flatten_matches_dense_fold;
+        QCheck_alcotest.to_alcotest prop_damaged_chains_refused_alike;
       ] );
   ]

@@ -123,39 +123,12 @@ snapshot-smoke:
 arena-smoke:
 	dune build @test/cram/arena_smoke
 
-# Serving-fleet determinism, two ways.  First, the same 4-shard fleet
-# run twice must produce byte-identical stdout and JSON report — the
-# dispatcher's Domain interleaving must never leak into the output.
-# Second, the report's "fleet" section (per-request counters, latency
-# distribution, ring attribution) must be byte-identical between a
-# 2-shard and a 4-shard fleet on the same seed: an outcome may not
-# depend on which shard served it.  queue_cap is raised so nothing is
-# shed — a shed request would legitimately change the outcome set.
+# Serving-fleet determinism: a 4-shard fleet byte-identical across
+# runs, and its fleet section identical to a 2-shard fleet's.  The
+# checks live in the cram test test/cram/serve_smoke.t, which
+# `dune runtest` also runs.
 serve-smoke:
-	dune build bin/ringsim.exe bin/jsoncheck.exe
-	@rm -rf /tmp/serve_smoke && mkdir -p /tmp/serve_smoke
-	@for run in a b; do \
-	  _build/default/bin/ringsim.exe serve --shards 4 --requests 200 --seed 7 \
-	    --queue-cap 256 --report-json /tmp/serve_smoke/s4_$$run.json \
-	    > /tmp/serve_smoke/s4_$$run.out \
-	    || { echo "serve-smoke: 4-shard fleet run failed"; exit 1; }; \
-	done
-	_build/default/bin/jsoncheck.exe /tmp/serve_smoke/s4_a.json
-	@for f in json out; do \
-	  diff /tmp/serve_smoke/s4_a.$$f /tmp/serve_smoke/s4_b.$$f \
-	    || { echo "serve-smoke: $$f output DIFFERS between runs"; exit 1; }; \
-	done
-	@_build/default/bin/ringsim.exe serve --shards 2 --requests 200 --seed 7 \
-	  --queue-cap 256 --report-json /tmp/serve_smoke/s2.json \
-	  > /tmp/serve_smoke/s2.out \
-	  || { echo "serve-smoke: 2-shard fleet run failed"; exit 1; }
-	@sed -n '/"fleet"/,/"dispatch"/p' /tmp/serve_smoke/s2.json \
-	  > /tmp/serve_smoke/fleet2
-	@sed -n '/"fleet"/,/"dispatch"/p' /tmp/serve_smoke/s4_a.json \
-	  > /tmp/serve_smoke/fleet4
-	@diff /tmp/serve_smoke/fleet2 /tmp/serve_smoke/fleet4 \
-	  || { echo "serve-smoke: fleet section depends on the shard count"; exit 1; }
-	@echo "serve-smoke: fleet reports deterministic and shard-count invariant"
+	dune build @test/cram/serve_smoke
 
 # Execution-pool determinism under stress: a high-shard fleet on an
 # explicit multi-worker pool, where every run's report body (fleet,
@@ -204,49 +177,12 @@ serve-stress:
 	  || { echo "serve-stress: stdout depends on the pool size"; exit 1; }
 	@echo "serve-stress: report invariant under stealing, pool size and reruns"
 
-# Elastic-fleet invariance: a live shard migration, rolling restarts
-# and queue-depth autoscaling must each leave the report's fleet
-# section byte-identical to the plain run — the drain moves (never
-# drops) requests, a restarted shard only loses cache warmth, and the
-# active-set size is routing detail.  ringsim exits non-zero when
-# anything is shed or degraded, so exit 0 on every variant proves zero
-# dropped requests.
+# Elastic-fleet invariance: a live migration, rolling restarts and
+# autoscaling each leave the fleet section byte-identical to the plain
+# run, with zero dropped requests.  The checks live in the cram test
+# test/cram/migrate_smoke.t, which `dune runtest` also runs.
 migrate-smoke:
-	dune build bin/ringsim.exe
-	@rm -rf /tmp/migrate_smoke && mkdir -p /tmp/migrate_smoke
-	@_build/default/bin/ringsim.exe serve --shards 4 --requests 200 --seed 7 \
-	  --queue-cap 256 --pool 4 \
-	  --report-json /tmp/migrate_smoke/plain.json \
-	  > /tmp/migrate_smoke/plain.out \
-	  || { echo "migrate-smoke: plain fleet run failed"; exit 1; }
-	@_build/default/bin/ringsim.exe serve --shards 4 --requests 200 --seed 7 \
-	  --queue-cap 256 --pool 4 --migrate 1:0:1 \
-	  --report-json /tmp/migrate_smoke/migrate.json \
-	  > /tmp/migrate_smoke/migrate.out \
-	  || { echo "migrate-smoke: migration run dropped requests"; exit 1; }
-	@_build/default/bin/ringsim.exe serve --shards 4 --requests 200 --seed 7 \
-	  --queue-cap 256 --pool 4 --rolling-restart 2 \
-	  --report-json /tmp/migrate_smoke/restart.json \
-	  > /tmp/migrate_smoke/restart.out \
-	  || { echo "migrate-smoke: rolling-restart run dropped requests"; exit 1; }
-	@_build/default/bin/ringsim.exe serve --shards 4 --requests 200 --seed 7 \
-	  --queue-cap 32 --pool 4 --autoscale \
-	  --report-json /tmp/migrate_smoke/autoscale.json \
-	  > /tmp/migrate_smoke/autoscale.out \
-	  || { echo "migrate-smoke: autoscale run shed requests"; exit 1; }
-	@grep -q '"migrated": [1-9]' /tmp/migrate_smoke/migrate.json \
-	  || { echo "migrate-smoke: migration drained nothing"; exit 1; }
-	@grep -q '"restarts": [1-9]' /tmp/migrate_smoke/restart.json \
-	  || { echo "migrate-smoke: no restart cycles taken"; exit 1; }
-	@for v in plain migrate restart autoscale; do \
-	  sed -n '/"fleet"/,/"dispatch"/p' /tmp/migrate_smoke/$$v.json \
-	    > /tmp/migrate_smoke/$$v.fleet; \
-	done
-	@for v in migrate restart autoscale; do \
-	  diff /tmp/migrate_smoke/plain.fleet /tmp/migrate_smoke/$$v.fleet \
-	    || { echo "migrate-smoke: $$v changed the fleet section"; exit 1; }; \
-	done
-	@echo "migrate-smoke: fleet section invariant under migration, restarts and autoscaling; zero dropped requests"
+	dune build @test/cram/migrate_smoke
 
 # Capability backend: cap-mode determinism, the example catalog, the
 # unknown-backend usage error, the fleet's shard-count invariance and

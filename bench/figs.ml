@@ -315,11 +315,11 @@ let fig5 () =
     (fun depth ->
       let effective ~use_r1 =
         let m, instr = run_depth ~use_r1 depth in
-        let before = Trace.Counters.memory_reads m.Isa.Machine.counters in
+        let before = Trace.Counters.get m.Isa.Machine.counters Memory_reads in
         match Isa.Eff_addr.compute m instr with
         | Ok (Isa.Eff_addr.Memory { effective; _ }) ->
             ( Rings.Effective_ring.to_int effective,
-              Trace.Counters.memory_reads m.Isa.Machine.counters - before )
+              Trace.Counters.get m.Isa.Machine.counters Memory_reads - before )
         | Ok _ | Error _ -> (-1, 0)
       in
       let e, reads = effective ~use_r1:true in

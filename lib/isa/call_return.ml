@@ -83,7 +83,7 @@ let ring_call m ~cap =
       ~same_segment
   with
   | Error (Rings.Fault.Upward_call _ as f) ->
-      Trace.Counters.bump_calls_upward m.Machine.counters;
+      Trace.Counters.bump m.Machine.counters Calls_upward;
       Machine.raise_fault f
   | Error f ->
       Machine.raise_fault (if cap then Rings.Backend.cap_fault_of f else f)
@@ -101,7 +101,7 @@ let ring_call m ~cap =
       set_stack_base_pr m ~new_ring ~stack_segno;
       (match crossing with
       | Rings.Call.Same_ring ->
-          Trace.Counters.bump_calls_same_ring m.Machine.counters;
+          Trace.Counters.bump m.Machine.counters Calls_same_ring;
           record_call m ~crossing:Trace.Event.Same_ring ~from_ring:exec
             ~to_ring:new_ring
       | Rings.Call.Downward ->
@@ -116,7 +116,7 @@ let ring_call m ~cap =
                 ~wordno:ipr.Hw.Registers.addr.Hw.Addr.wordno
               :: m.Machine.cap_stack
           end;
-          Trace.Counters.bump_calls_downward m.Machine.counters;
+          Trace.Counters.bump m.Machine.counters Calls_downward;
           record_call m ~crossing:Trace.Event.Downward ~from_ring:exec
             ~to_ring:new_ring);
       transfer_to m ~new_ring
@@ -137,7 +137,7 @@ let ring_retn m ~cap =
       if maximize_pr_rings then Hw.Registers.maximize_pr_rings regs new_ring;
       (match crossing with
       | Rings.Return_op.Same_ring ->
-          Trace.Counters.bump_returns_same_ring m.Machine.counters;
+          Trace.Counters.bump m.Machine.counters Returns_same_ring;
           record_return m ~crossing:Trace.Event.Same_ring ~from_ring:exec
             ~to_ring:new_ring
       | Rings.Return_op.Upward ->
@@ -155,7 +155,7 @@ let ring_retn m ~cap =
                 m.Machine.cap_stack <- rest
             | _ -> ()
           end;
-          Trace.Counters.bump_returns_upward m.Machine.counters;
+          Trace.Counters.bump m.Machine.counters Returns_upward;
           record_return m ~crossing:Trace.Event.Upward ~from_ring:exec
             ~to_ring:new_ring);
       transfer_to m ~new_ring
@@ -186,7 +186,7 @@ let software_transfer m ~is_call =
   | Ok () -> ()
   | Error _ -> cross_ring ());
   if is_call then begin
-    Trace.Counters.bump_calls_same_ring m.Machine.counters;
+    Trace.Counters.bump m.Machine.counters Calls_same_ring;
     let stack_segno =
       (Hw.Registers.get_pr regs Hw.Registers.pr_stack).Hw.Registers.addr
         .Hw.Addr.segno
@@ -196,7 +196,7 @@ let software_transfer m ~is_call =
       ~to_ring:ring
   end
   else begin
-    Trace.Counters.bump_returns_same_ring m.Machine.counters;
+    Trace.Counters.bump m.Machine.counters Returns_same_ring;
     record_return m ~crossing:Trace.Event.Same_ring ~from_ring:ring
       ~to_ring:ring
   end;

@@ -10,7 +10,7 @@ let cycle m =
   let at = regs.Hw.Registers.ipr in
   let fetched = Machine.fetch_exn m in
   let instr = fetched.Machine.f_instr in
-  Trace.Counters.bump_instructions m.Machine.counters;
+  Trace.Counters.bump m.Machine.counters Instructions;
   Trace.Counters.charge m.Machine.counters Hw.Costs.instruction_overhead;
   (* All event construction sits behind the enabled check, and the
      enabled path is a few unboxed stores — no disassembly, no variant:

@@ -25,7 +25,7 @@ let rec indirect m ~depth =
   let e = Machine.resolve_tpr m in
   let sdw = e.Machine.r_sdw in
   Machine.check (Machine.validate_read m sdw ~effective:m.Machine.tpr_ring);
-  Trace.Counters.bump_indirections m.Machine.counters;
+  Trace.Counters.bump m.Machine.counters Indirections;
   let w = Hw.Memory.read m.Machine.mem e.Machine.r_abs in
   (match m.Machine.mode with
   | Machine.Ring_software_645 -> ()

@@ -166,7 +166,7 @@ let perform m (instr : Instr.t) formed =
          completion trap.  What matters for the reproduction is
          that SIOC is ring-0-only and that completions are one of
          the trap sources. *)
-      Trace.Counters.bump_channel_ops m.Machine.counters;
+      Trace.Counters.bump m.Machine.counters Channel_ops;
       Machine.set_io_countdown m (Some 20)
   | Opcode.SIOT ->
       (* Read the channel control word pair and arm the channel;
@@ -187,7 +187,7 @@ let perform m (instr : Instr.t) formed =
         if Hw.Word.field ~pos:17 ~width:1 w1 = 0 then `Read else `Write
       in
       let count = Hw.Word.field ~pos:0 ~width:17 w1 in
-      Trace.Counters.bump_channel_ops m.Machine.counters;
+      Trace.Counters.bump m.Machine.counters Channel_ops;
       m.Machine.io_request <-
         Some
           {

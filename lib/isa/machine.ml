@@ -440,7 +440,7 @@ let host_insert_sdw t ~base ~segno key sdw =
   if not t.degraded then
     (match Hw.Assoc.insert t.sdw_cache key sdw with
     | None -> ()
-    | Some _ -> Trace.Counters.bump_sdw_cache_evictions t.counters);
+    | Some _ -> Trace.Counters.bump t.counters Sdw_cache_evictions);
   (* The watches stay armed even degraded: the modeled tag store keeps
      carrying host decodes, and those must still heal on descriptor
      writes. *)
@@ -497,7 +497,7 @@ let sdw_or_raise = function Ok sdw -> sdw | Error f -> raise_fault f
    refetch silently and heal the tag.  The modeled activity is the hit
    already bumped by the caller — nothing further is charged. *)
 let refill_tag t dbr ~base ~segno key =
-  Trace.Counters.bump_sdw_cache_misses t.counters;
+  Trace.Counters.bump t.counters Sdw_cache_misses;
   let sdw = sdw_or_raise (Hw.Descriptor.fetch_sdw_silent t.mem dbr ~segno) in
   check_sdw_tags t dbr ~segno;
   Hashtbl.replace t.sdw_tags key sdw;
@@ -514,8 +514,8 @@ let fetch_sdw_miss t dbr ~base ~segno key =
          bump and charge, then the two SDW words from core.  (The
          bound guard mirrors the walk's own check — a shrunk DBR bound
          must still fault.) *)
-      Trace.Counters.bump_sdw_cache_hits t.counters;
-      Trace.Counters.bump_sdw_fetches t.counters;
+      Trace.Counters.bump t.counters Sdw_cache_hits;
+      Trace.Counters.bump t.counters Sdw_fetches;
       Trace.Counters.charge t.counters Hw.Costs.sdw_fetch;
       Trace.Counters.charge t.counters (2 * Hw.Costs.memory_access);
       tag_insert t key sdw;
@@ -524,7 +524,7 @@ let fetch_sdw_miss t dbr ~base ~segno key =
       host_insert_sdw t ~base ~segno key sdw;
       sdw
   | Some _ | None ->
-      Trace.Counters.bump_sdw_cache_misses t.counters;
+      Trace.Counters.bump t.counters Sdw_cache_misses;
       let sdw = sdw_or_raise (Hw.Descriptor.fetch_sdw t.mem dbr ~segno) in
       Trace.Counters.charge t.counters (2 * Hw.Costs.memory_access);
       check_sdw_tags t dbr ~segno;
@@ -540,11 +540,11 @@ let fetch_sdw_exn t ~segno =
   match Hashtbl.find t.sdw_tags key with
   | sdw when sdw != Hw.Sdw.absent ->
       (* Modeled hit with a coherent host decode — the hot path. *)
-      Trace.Counters.bump_sdw_fetches t.counters;
-      Trace.Counters.bump_sdw_cache_hits t.counters;
+      Trace.Counters.bump t.counters Sdw_fetches;
+      Trace.Counters.bump t.counters Sdw_cache_hits;
       sdw
   | _ ->
-      Trace.Counters.bump_sdw_fetches t.counters;
+      Trace.Counters.bump t.counters Sdw_fetches;
       refill_tag t dbr ~base ~segno key
   | exception Not_found -> fetch_sdw_miss t dbr ~base ~segno key
 
@@ -582,18 +582,18 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
       (Rings.Fault.Bound_violation { segno; wordno; bound = sdw.Hw.Sdw.bound })
   else begin
     let pageno = Hw.Paging.page_of_wordno wordno in
-    Trace.Counters.bump_ptw_fetches t.counters;
-    Trace.Counters.bump_memory_reads t.counters;
+    Trace.Counters.bump t.counters Ptw_fetches;
+    Trace.Counters.bump t.counters Memory_reads;
     Trace.Counters.charge t.counters Hw.Costs.memory_access;
     let key =
       ptw_key ~base:t.regs.Hw.Registers.dbr.Hw.Registers.base ~segno ~pageno
     in
     match (if t.degraded then None else Hw.Assoc.find t.ptw_tlb key) with
     | Some v ->
-        Trace.Counters.bump_ptw_tlb_hits t.counters;
+        Trace.Counters.bump t.counters Ptw_tlb_hits;
         ptw_value_frame v + Hw.Paging.offset_in_page wordno
     | None ->
-        Trace.Counters.bump_ptw_tlb_misses t.counters;
+        Trace.Counters.bump t.counters Ptw_tlb_misses;
         let waddr = sdw.Hw.Sdw.base + pageno in
         let ptw = Hw.Paging.decode_ptw (Hw.Memory.read_silent t.mem waddr) in
         if ptw.Hw.Paging.present then begin
@@ -607,7 +607,7 @@ let translate_paged_cached t (sdw : Hw.Sdw.t) ~segno ~wordno =
                 (* The evicted entry's page-table word stays watched:
                    cached fetches may still depend on it, and a stale
                    watch costs one harmless observer firing. *)
-                Trace.Counters.bump_ptw_tlb_evictions t.counters);
+                Trace.Counters.bump t.counters Ptw_tlb_evictions);
             watch t ~bit:bit_ptw t.ptw_watch waddr key
           end;
           frame + Hw.Paging.offset_in_page wordno
@@ -654,13 +654,13 @@ let resolve_exn t ~segno ~wordno =
     let e = Array.unsafe_get t.resolve_entries i in
     if e.r_gen = t.fetch_gen then begin
       let c = t.counters in
-      Trace.Counters.bump_sdw_fetches c;
-      Trace.Counters.bump_sdw_cache_hits c;
+      Trace.Counters.bump c Sdw_fetches;
+      Trace.Counters.bump c Sdw_cache_hits;
       if e.r_paged then begin
-        Trace.Counters.bump_ptw_fetches c;
-        Trace.Counters.bump_memory_reads c;
+        Trace.Counters.bump c Ptw_fetches;
+        Trace.Counters.bump c Memory_reads;
         Trace.Counters.charge c Hw.Costs.memory_access;
-        Trace.Counters.bump_ptw_tlb_hits c
+        Trace.Counters.bump c Ptw_tlb_hits
       end;
       e
     end
@@ -698,21 +698,21 @@ let transfer_ptr t e ~ring =
    the word read and re-decode.  The write observer drops entries for
    stored-to addresses, so self-modifying code decodes the new word. *)
 let fetch_decoded_exn t abs =
-  Trace.Counters.bump_memory_reads t.counters;
+  Trace.Counters.bump t.counters Memory_reads;
   Trace.Counters.charge t.counters Hw.Costs.memory_access;
   match (if t.degraded then None else Hw.Assoc.find t.icache abs) with
   | Some instr ->
-      Trace.Counters.bump_icache_hits t.counters;
+      Trace.Counters.bump t.counters Icache_hits;
       instr
   | None -> (
-      Trace.Counters.bump_icache_misses t.counters;
+      Trace.Counters.bump t.counters Icache_misses;
       match Instr.decode (Hw.Memory.read_silent t.mem abs) with
       | Error f -> raise_fault f
       | Ok instr ->
           if not t.degraded then begin
             (match Hw.Assoc.insert t.icache abs instr with
             | None -> ()
-            | Some _ -> Trace.Counters.bump_icache_evictions t.counters);
+            | Some _ -> Trace.Counters.bump t.counters Icache_evictions);
             Bytes.unsafe_set t.watched abs
               (Char.unsafe_chr
                  (Char.code (Bytes.unsafe_get t.watched abs) lor bit_icache))
@@ -780,18 +780,18 @@ let fetch_exn t =
     let e = Array.unsafe_get t.fetch_entries i in
     if e.f_gen = t.fetch_gen then begin
       let c = t.counters in
-      Trace.Counters.bump_sdw_fetches c;
-      Trace.Counters.bump_sdw_cache_hits c;
+      Trace.Counters.bump c Sdw_fetches;
+      Trace.Counters.bump c Sdw_cache_hits;
       if e.f_paged then begin
         (* The walk's PTW retrieval: one counted, charged core read. *)
-        Trace.Counters.bump_ptw_fetches c;
-        Trace.Counters.bump_memory_reads c;
+        Trace.Counters.bump c Ptw_fetches;
+        Trace.Counters.bump c Memory_reads;
         Trace.Counters.charge c Hw.Costs.memory_access;
-        Trace.Counters.bump_ptw_tlb_hits c
+        Trace.Counters.bump c Ptw_tlb_hits
       end;
-      Trace.Counters.bump_memory_reads c;
+      Trace.Counters.bump c Memory_reads;
       Trace.Counters.charge c Hw.Costs.memory_access;
-      Trace.Counters.bump_icache_hits c;
+      Trace.Counters.bump c Icache_hits;
       e
     end
     else fetch_slow t ipr key
@@ -810,9 +810,9 @@ let validate_transfer t (sdw : Hw.Sdw.t) ~exec ~effective =
   Rings.Backend.validate_transfer t.backend sdw.access ~exec ~effective
 
 let take_fault t ~at fault =
-  Trace.Counters.bump_traps t.counters;
+  Trace.Counters.bump t.counters Traps;
   if Rings.Fault.is_access_violation fault then
-    Trace.Counters.bump_access_violations t.counters;
+    Trace.Counters.bump t.counters Access_violations;
   Trace.Counters.charge t.counters Hw.Costs.trap_entry;
   if Trace.Event.enabled t.log then
     Trace.Event.record_trap t.log
@@ -928,7 +928,7 @@ let set_cycle_limit t v =
 let degrade t =
   if not t.degraded then begin
     t.degraded <- true;
-    Trace.Counters.bump_degraded t.counters;
+    Trace.Counters.bump t.counters Degraded;
     Hw.Assoc.clear t.sdw_cache;
     Hw.Assoc.clear t.ptw_tlb;
     Hw.Assoc.clear t.icache;
@@ -979,7 +979,7 @@ let poll_injection t =
       with
       | None -> None
       | Some ev -> (
-          Trace.Counters.bump_injected t.counters;
+          Trace.Counters.bump t.counters Injected;
           match ev with
           | Hw.Inject.Deliver_parity { addr; transient = _ } ->
               Some (Rings.Fault.Parity_error { addr })

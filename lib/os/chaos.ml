@@ -431,11 +431,11 @@ let run_one ?mode ~campaign plan ~quantum ~exits ~violations
         (Trace.Span.histogram m.Isa.Machine.spans Trace.Event.Recovery);
       let c = m.Isa.Machine.counters in
       let totals =
-        ( Trace.Counters.injected c,
-          Trace.Counters.retried c,
-          Trace.Counters.recovered c,
-          Trace.Counters.quarantined c,
-          Trace.Counters.degraded c )
+        ( Trace.Counters.get c Injected,
+          Trace.Counters.get c Retried,
+          Trace.Counters.get c Recovered,
+          Trace.Counters.get c Quarantined,
+          Trace.Counters.get c Degraded )
       in
       (* The campaign is over and its figures are copied out: recycle
          the machine's memory for the next campaign. *)

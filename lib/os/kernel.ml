@@ -133,13 +133,13 @@ let handle_fault_inner p fault : (unit, exit) result =
                 else "transient, no repair needed"));
       close_recovery m;
       if p.Process.fault_count > budget then begin
-        Trace.Counters.bump_quarantined counters;
+        Trace.Counters.bump counters Quarantined;
         m.Isa.Machine.saved <- None;
         m.Isa.Machine.on_recovery fault;
         Error (Quarantined fault)
       end
       else begin
-        Trace.Counters.bump_recovered counters;
+        Trace.Counters.bump counters Recovered;
         Isa.Machine.restore_saved m;
         m.Isa.Machine.on_recovery fault;
         Ok ()
@@ -159,7 +159,7 @@ let handle_fault_inner p fault : (unit, exit) result =
       p.Process.io_attempts <- p.Process.io_attempts + 1;
       if p.Process.io_attempts <= limit && m.Isa.Machine.io_request <> None
       then begin
-        Trace.Counters.bump_retried counters;
+        Trace.Counters.bump counters Retried;
         Trace.Counters.charge counters Costs.io_retry_setup;
         let backoff = 8 lsl p.Process.io_attempts in
         Isa.Machine.set_io_countdown m (Some backoff);
@@ -174,7 +174,7 @@ let handle_fault_inner p fault : (unit, exit) result =
         Ok ()
       end
       else begin
-        Trace.Counters.bump_quarantined counters;
+        Trace.Counters.bump counters Quarantined;
         close_recovery m;
         m.Isa.Machine.io_request <- None;
         Isa.Machine.set_io_countdown m None;
@@ -216,13 +216,13 @@ let handle_fault_inner p fault : (unit, exit) result =
         Error (Terminated fault)
       end
       else if p.Process.fault_count > budget then begin
-        Trace.Counters.bump_quarantined counters;
+        Trace.Counters.bump counters Quarantined;
         m.Isa.Machine.saved <- None;
         m.Isa.Machine.on_recovery fault;
         Error (Quarantined fault)
       end
       else begin
-        Trace.Counters.bump_recovered counters;
+        Trace.Counters.bump counters Recovered;
         Isa.Machine.restore_saved m;
         m.Isa.Machine.on_recovery fault;
         Ok ()
@@ -233,7 +233,7 @@ let handle_fault_inner p fault : (unit, exit) result =
          at an instruction boundary.  Quarantine the tenant — never the
          machine — and let the dispatcher carry on with the rest. *)
       let m = p.Process.machine in
-      Trace.Counters.bump_quarantined m.Isa.Machine.counters;
+      Trace.Counters.bump m.Isa.Machine.counters Quarantined;
       m.Isa.Machine.saved <- None;
       m.Isa.Machine.on_recovery fault;
       Error (Quarantined fault)

@@ -10,8 +10,8 @@ let ( let* ) = Result.bind
 (* [action] is a thunk so the formatted string is only built when the
    event log is enabled — as in {!Softrings}. *)
 let gatekeeper_event p action =
-  Trace.Counters.bump_gatekeeper_entries
-    p.Process.machine.Isa.Machine.counters;
+  Trace.Counters.bump p.Process.machine.Isa.Machine.counters
+    Gatekeeper_entries;
   let log = p.Process.machine.Isa.Machine.log in
   if Trace.Event.enabled log then
     Trace.Event.record_gatekeeper log ~action:(action ())
@@ -199,7 +199,7 @@ let handle_outward_return p =
           Hw.Registers.ring = caller_ring;
           addr = Hw.Addr.offset caller.Hw.Registers.ipr.Hw.Registers.addr 1;
         };
-      Trace.Counters.bump_returns_downward m.Isa.Machine.counters;
+      Trace.Counters.bump m.Isa.Machine.counters Returns_downward;
       if Trace.Span.enabled m.Isa.Machine.spans then
         Trace.Span.close_span ~kind:Trace.Event.Upward m.Isa.Machine.spans
           ~cycles:(Trace.Counters.cycles m.Isa.Machine.counters);

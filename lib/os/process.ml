@@ -175,8 +175,8 @@ let create ?(mode = Isa.Machine.Ring_hardware)
         (let d = Device.create () in
          (* Replays skipped on resume are counted, not silently eaten. *)
          Hw.Journal.set_on_skip (Device.journal d) (fun () ->
-             Trace.Counters.bump_journal_replays_skipped
-               machine.Isa.Machine.counters);
+             Trace.Counters.bump machine.Isa.Machine.counters
+               Journal_replays_skipped);
          d);
       search_rules = None;
       crossings = [];
@@ -413,7 +413,7 @@ let switch_descriptor_segment t ring =
       let regs = t.machine.Isa.Machine.regs in
       let target = t.descsegs.(Rings.Ring.to_int ring) in
       if regs.Hw.Registers.dbr <> target then begin
-        Trace.Counters.bump_descriptor_switches t.machine.Isa.Machine.counters;
+        Trace.Counters.bump t.machine.Isa.Machine.counters Descriptor_switches;
         Trace.Counters.charge t.machine.Isa.Machine.counters
           Costs.descriptor_segment_switch;
         if Trace.Event.enabled t.machine.Isa.Machine.log then
@@ -673,7 +673,7 @@ let handle_page_fault t ~segno ~pageno =
             done;
             Hw.Memory.write_silent mem (victim_pt + victim_pageno)
               (Hw.Paging.encode_ptw Hw.Paging.absent_ptw);
-            Trace.Counters.bump_page_evictions counters;
+            Trace.Counters.bump counters Page_evictions;
             Trace.Counters.charge counters Costs.page_transfer;
             Ok victim_frame)
   in
@@ -686,7 +686,7 @@ let handle_page_fault t ~segno ~pageno =
   Hw.Memory.write_silent mem (pt_base + pageno)
     (Hw.Paging.encode_ptw { Hw.Paging.present = true; frame_base = frame });
   ps.resident <- (frame, segno, pageno) :: ps.resident;
-  Trace.Counters.bump_page_faults counters;
+  Trace.Counters.bump counters Page_faults;
   Trace.Counters.charge counters Costs.page_transfer;
   (if Trace.Event.enabled t.machine.Isa.Machine.log then
      Trace.Event.record_gatekeeper t.machine.Isa.Machine.log

@@ -925,7 +925,7 @@ let encode sys =
    back — a failed capture must not inflate the counter. *)
 let with_capture_counted (c : Trace.Counters.t) f =
   let before = Trace.Counters.snapshot c in
-  Trace.Counters.bump_snapshots_written c;
+  Trace.Counters.bump c Snapshots_written;
   try f ()
   with e ->
     Trace.Counters.restore c before;
@@ -1315,7 +1315,7 @@ let restore sys image =
       if not (String.equal (capture_silent sys) image) then
         Error Self_check_failed
       else begin
-        Trace.Counters.bump_restores m.Isa.Machine.counters;
+        Trace.Counters.bump m.Isa.Machine.counters Restores;
         (* Audit: re-derive every SDW from the kernel's authoritative
            tables and walk the crossing stacks — the same invariants
            the chaos harness checks after fault campaigns.  A
@@ -1323,8 +1323,8 @@ let restore sys image =
         match Chaos.check_invariants ~campaign:0 sys with
         | [] -> Ok ()
         | problems ->
-            Trace.Counters.bump_restore_audit_rejections
-              m.Isa.Machine.counters;
+            Trace.Counters.bump m.Isa.Machine.counters
+              Restore_audit_rejections;
             Error (Audit_rejected problems)
       end
 

@@ -169,7 +169,7 @@ let quarantine t e fault =
   | Done _ -> ()
   | Ready | Blocked ->
       let exit = Kernel.Quarantined fault in
-      Trace.Counters.bump_quarantined t.machine.Isa.Machine.counters;
+      Trace.Counters.bump t.machine.Isa.Machine.counters Quarantined;
       e.saved_regs <- Hw.Registers.copy t.machine.Isa.Machine.regs;
       e.saved_io <- (None, None);
       e.status <- Done exit;
@@ -193,15 +193,15 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
      trap that ends a preempted slice is dispatcher machinery, not
      progress, and is discounted where the signature is compared. *)
   let progress_sig () =
-    Trace.Counters.traps counters
-    + Trace.Counters.calls_same_ring counters
-    + Trace.Counters.calls_downward counters
-    + Trace.Counters.calls_upward counters
-    + Trace.Counters.returns_same_ring counters
-    + Trace.Counters.returns_upward counters
-    + Trace.Counters.returns_downward counters
-    + Trace.Counters.gatekeeper_entries counters
-    + Trace.Counters.descriptor_switches counters
+    Trace.Counters.get counters Traps
+    + Trace.Counters.get counters Calls_same_ring
+    + Trace.Counters.get counters Calls_downward
+    + Trace.Counters.get counters Calls_upward
+    + Trace.Counters.get counters Returns_same_ring
+    + Trace.Counters.get counters Returns_upward
+    + Trace.Counters.get counters Returns_downward
+    + Trace.Counters.get counters Gatekeeper_entries
+    + Trace.Counters.get counters Descriptor_switches
   in
   let ready () = List.filter (fun e -> e.status = Ready) t.entries in
   let blocked () = List.filter (fun e -> e.status = Blocked) t.entries in
@@ -311,8 +311,8 @@ let run ?(quantum = 50) ?(max_slices = 10_000) ?watchdog ?before_slice
                 e.stalled <-
                   e.stalled + (Trace.Counters.instructions counters - before);
                 if e.stalled >= budget then begin
-                  Trace.Counters.bump_watchdog_tripped counters;
-                  Trace.Counters.bump_quarantined counters;
+                  Trace.Counters.bump counters Watchdog_tripped;
+                  Trace.Counters.bump counters Quarantined;
                   finish e
                     (Kernel.Quarantined
                        (Rings.Fault.Watchdog_timeout { budget }))

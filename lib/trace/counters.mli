@@ -6,192 +6,85 @@
     supervisor interventions (traps) each ring-crossing flavour incurs.
     Every simulated machine carries one [t]; the CPU and the operating
     system substrate charge cycles and bump event counters through this
-    interface, and the benches read them back out. *)
+    interface, and the benches read them back out.
+
+    Each counter is one constructor of {!field}, one name in the
+    exports and one field of {!snapshot}, all in the same order. *)
+
+type field =
+  | Cycles
+  | Instructions
+  | Memory_reads
+  | Memory_writes
+  | Sdw_fetches
+  | Indirections
+  | Traps
+  | Calls_same_ring
+  | Calls_downward
+  | Calls_upward
+  | Returns_same_ring
+  | Returns_upward
+  | Returns_downward
+  | Gatekeeper_entries
+  | Descriptor_switches
+  | Access_violations
+  | Ptw_fetches
+  | Page_faults
+  | Page_evictions
+  | Channel_ops  (** SIOC/SIOT started; billed against an I/O quota. *)
+  | Sdw_cache_hits
+      (** The host-side SDW cache, PTW TLB and instruction cache: they
+          move freely without affecting the modeled cycles. *)
+  | Sdw_cache_misses
+  | Sdw_cache_evictions
+  | Ptw_tlb_hits
+  | Ptw_tlb_misses
+  | Ptw_tlb_evictions
+  | Icache_hits
+  | Icache_misses
+  | Icache_evictions
+  | Injected
+      (** Faults the injector ({!Hw.Inject}) delivered, then what the
+          kernel did about them: retry, scrub and resume, quarantine a
+          process, or degrade the caches to uncached operation. *)
+  | Retried
+  | Recovered
+  | Quarantined
+  | Degraded
+  | Snapshots_written
+      (** Bumped before serializing, so an image counts itself, and
+          rolled back if the capture fails.  [Restores] and
+          [Journal_replays_skipped] are session-local; every other
+          counter is checkpoint-deterministic. *)
+  | Restores
+  | Restore_audit_rejections
+  | Journal_replays_skipped
+  | Watchdog_tripped
+  | Events_dropped
+      (** What tracing discarded (a full ring buffer, the 1-in-N
+          sampler); they move only while tracing is enabled. *)
+  | Events_sampled_out
+  | Spans_sampled_out
 
 type t
 
 val create : unit -> t
-
 val reset : t -> unit
 
-(** {1 Cycle charging} *)
+val bump : t -> field -> unit
+(** Add one to a counter.  Allocates nothing. *)
+
+val get : t -> field -> int
 
 val charge : t -> int -> unit
-(** [charge c n] adds [n] cycles to the running total. *)
+(** [charge c n] adds [n] to [Cycles]. *)
 
 val cycles : t -> int
-
-(** {1 Event counters}
-
-    Each [bump_*] increments one event counter; [*_count] reads it. *)
-
-val bump_instructions : t -> unit
 val instructions : t -> int
-
-val bump_memory_reads : t -> unit
-val memory_reads : t -> int
-
-val bump_memory_writes : t -> unit
-val memory_writes : t -> int
-
-val bump_sdw_fetches : t -> unit
-val sdw_fetches : t -> int
-
-val bump_indirections : t -> unit
-val indirections : t -> int
-
-val bump_traps : t -> unit
-val traps : t -> int
-
-val bump_calls_same_ring : t -> unit
-val calls_same_ring : t -> int
-
-val bump_calls_downward : t -> unit
-val calls_downward : t -> int
-
-val bump_calls_upward : t -> unit
-val calls_upward : t -> int
-
-val bump_returns_same_ring : t -> unit
-val returns_same_ring : t -> int
-
-val bump_returns_upward : t -> unit
-val returns_upward : t -> int
-
-val bump_returns_downward : t -> unit
-val returns_downward : t -> int
-
-val bump_gatekeeper_entries : t -> unit
-val gatekeeper_entries : t -> int
-
-val bump_descriptor_switches : t -> unit
-val descriptor_switches : t -> int
-
-val bump_access_violations : t -> unit
-val access_violations : t -> int
-
-val bump_ptw_fetches : t -> unit
-val ptw_fetches : t -> int
-
-val bump_page_faults : t -> unit
-val page_faults : t -> int
-
-val bump_page_evictions : t -> unit
-val page_evictions : t -> int
-
-val bump_channel_ops : t -> unit
-(** One I/O channel operation started (SIOC/SIOT).  The arena bills
-    these against a tenant's I/O quota; outside the arena they are
-    plain observability. *)
-
-val channel_ops : t -> int
-
-(** {2 Host-side associative memories}
-
-    Hit/miss/eviction rates of the simulator's caches (SDW cache, PTW
-    TLB, decoded-instruction cache).  These observe the host-side
-    memoization layer only: they move freely without affecting the
-    modeled cycle accounting above. *)
-
-val bump_sdw_cache_hits : t -> unit
-val sdw_cache_hits : t -> int
-
-val bump_sdw_cache_misses : t -> unit
-val sdw_cache_misses : t -> int
-
-val bump_sdw_cache_evictions : t -> unit
-val sdw_cache_evictions : t -> int
-
-val bump_ptw_tlb_hits : t -> unit
-val ptw_tlb_hits : t -> int
-
-val bump_ptw_tlb_misses : t -> unit
-val ptw_tlb_misses : t -> int
-
-val bump_ptw_tlb_evictions : t -> unit
-val ptw_tlb_evictions : t -> int
-
-val bump_icache_hits : t -> unit
-val icache_hits : t -> int
-
-val bump_icache_misses : t -> unit
-val icache_misses : t -> int
-
-val bump_icache_evictions : t -> unit
-val icache_evictions : t -> int
-
-(** {2 Fault injection and recovery}
-
-    What the injector ({!Hw.Inject}) did to the machine and what the
-    kernel did about it.  [injected] counts delivered faults and
-    stalls; [retried] transfers re-armed with backoff; [recovered]
-    faults scrubbed and resumed; [quarantined] processes killed for
-    exhausting their fault budget; [degraded] cache subsystems dropped
-    to uncached operation after coherence damage. *)
-
-val bump_injected : t -> unit
-val injected : t -> int
-
-val bump_retried : t -> unit
-val retried : t -> int
-
-val bump_recovered : t -> unit
-val recovered : t -> int
-
-val bump_quarantined : t -> unit
-val quarantined : t -> int
-
-val bump_degraded : t -> unit
-val degraded : t -> int
-
-(** {2 Checkpoint/restore and the dispatcher watchdog}
-
-    [snapshots_written] images captured — full and delta alike
-    (bumped before serializing, so the count inside an image already
-    includes it; rolled back if serialization fails, so a failed
-    capture never inflates it); [restores] images
-    applied; [restore_audit_rejections] images refused by the restore-
-    time SDW audit; [journal_replays_skipped] device transfers found
-    already journalled and not re-emitted; [watchdog_tripped] processes
-    quarantined by the dispatcher's instruction-budget watchdog.
-    [restores] and [journal_replays_skipped] are session-local — they
-    differ between an uninterrupted run and a resumed one; everything
-    else is checkpoint-deterministic. *)
-
-val bump_snapshots_written : t -> unit
-val snapshots_written : t -> int
-
-val bump_restores : t -> unit
-val restores : t -> int
-
-val bump_restore_audit_rejections : t -> unit
-val restore_audit_rejections : t -> int
-
-val bump_journal_replays_skipped : t -> unit
-val journal_replays_skipped : t -> int
-
-val bump_watchdog_tripped : t -> unit
-val watchdog_tripped : t -> int
-
-(** {2 Trace-pipeline self-observation}
-
-    What the tracing subsystem itself discarded: [events_dropped]
-    events overwritten because the ring buffer was full,
-    [events_sampled_out] and [spans_sampled_out] events/spans
-    deselected by the deterministic 1-in-N sampler.  These move only
-    while tracing is enabled, so untraced runs are unaffected. *)
-
-val bump_events_dropped : t -> unit
-val events_dropped : t -> int
-
-val bump_events_sampled_out : t -> unit
-val events_sampled_out : t -> int
-
-val bump_spans_sampled_out : t -> unit
-val spans_sampled_out : t -> int
 
 (** {1 Snapshots} *)
 
+(** A read-out of every counter, one field per {!field}. *)
 type snapshot = {
   cycles : int;
   instructions : int;
@@ -240,30 +133,22 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
-(** Overwrite every live counter with the snapshot's values — the
-    checkpoint/restore path re-seating the modeled clock and event
-    counts captured in an image. *)
+(** Overwrite every live counter with the snapshot's values. *)
 
 val diff : before:snapshot -> after:snapshot -> snapshot
-(** [diff ~before ~after] is the per-field difference, for measuring a
-    region of execution. *)
+(** The per-field difference, for measuring a region of execution. *)
 
 val add : snapshot -> snapshot -> snapshot
-(** [add a b] is the per-field (pointwise) sum.  Commutative and
-    associative, so folding per-shard or per-run snapshots into one
-    fleet total gives the same result in any order. *)
+(** The per-field sum: commutative and associative, so per-shard or
+    per-run snapshots fold into one total in any order. *)
 
 val fields : snapshot -> (string * int) list
-(** Every snapshot field as [(name, value)], in declaration order.
-    The metrics exporters and their coverage test iterate this, so a
-    new counter is exported everywhere by extending the one list. *)
+(** Every counter as [(name, value)], in {!field} order.  The metrics
+    exporters and the snapshot codec iterate this. *)
 
 val of_fields : (string * int) list -> (snapshot, string) result
-(** Inverse of {!fields}: rebuild a snapshot from named pairs.  The
-    names must match {!fields}'s output exactly (same set, same
-    order) — a mismatch is a decode error, as raised when a snapshot
-    image was written by a build with a different counter set.  The
-    error text names every unknown and missing field, so schema drift
-    between builds is reported, never silently dropped. *)
+(** Inverse of {!fields}.  The names must be {!fields}'s exactly, in
+    order; otherwise the error names every unknown and missing field,
+    so counter-set drift between builds is reported, never dropped. *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit

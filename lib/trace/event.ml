@@ -208,7 +208,7 @@ let admit log =
     seq
   else begin
     log.sampled_out <- log.sampled_out + 1;
-    Counters.bump_events_sampled_out log.stats;
+    Counters.bump log.stats Events_sampled_out;
     -1
   end
 
@@ -226,7 +226,7 @@ let admit_instr log =
   if sample_hit ~interval ~seed:log.sample_seed seq then seq
   else begin
     log.sampled_out <- log.sampled_out + 1;
-    Counters.bump_events_sampled_out log.stats;
+    Counters.bump log.stats Events_sampled_out;
     -1
   end
 
@@ -247,7 +247,7 @@ let claim log =
       let i = log.head in
       log.head <- (if i + 1 >= log.capacity then 0 else i + 1);
       log.dropped <- log.dropped + 1;
-      Counters.bump_events_dropped log.stats;
+      Counters.bump log.stats Events_dropped;
       i
     end
   in

@@ -230,7 +230,7 @@ let dirty_and_release () =
   let m = Os.System.machine sys in
   let mem = m.Isa.Machine.mem in
   Alcotest.(check bool) "dirty: injected" true
-    (Trace.Counters.injected m.Isa.Machine.counters > 0);
+    (Trace.Counters.get m.Isa.Machine.counters Injected > 0);
   Alcotest.(check int) "dirty: corruption scrubbed" 0 (Hw.Inject.poisoned inj);
   Alcotest.(check bool) "dirty: tags set" true
     (Hw.Memory.tagged_addrs mem <> []);

@@ -177,7 +177,7 @@ let test_chained_indirection () =
   Alcotest.(check int) "final wordno" 7 addr.Hw.Addr.wordno;
   Alcotest.(check int) "two indirections"
     2
-    (Trace.Counters.indirections m.Isa.Machine.counters)
+    (Trace.Counters.get m.Isa.Machine.counters Indirections)
 
 let test_runaway_indirection () =
   let m =
@@ -237,14 +237,14 @@ let test_runaway_depth_boundary () =
   Alcotest.(check string) "64 levels resolve" "3|000005"
     (Format.asprintf "%a" Hw.Addr.pp addr);
   Alcotest.(check int) "64 indirect words read" 64
-    (Trace.Counters.indirections m.Isa.Machine.counters);
+    (Trace.Counters.get m.Isa.Machine.counters Indirections);
   let m = chain_machine ~last_indirect:true in
   match Isa.Eff_addr.compute m chain_instr with
   | exception Isa.Eff_addr.Runaway_indirection addr ->
       Alcotest.(check string) "carries the 65th address" "2|000100"
         (Format.asprintf "%a" Hw.Addr.pp addr);
       Alcotest.(check int) "refused before reading it" 64
-        (Trace.Counters.indirections m.Isa.Machine.counters)
+        (Trace.Counters.get m.Isa.Machine.counters Indirections)
   | _ -> Alcotest.fail "expected Runaway_indirection at depth 65"
 
 let test_645_mode_no_ring_folding () =

@@ -27,8 +27,8 @@ let test_memory_rw_and_accounting () =
   let mem = Hw.Memory.create ~size:64 c in
   Hw.Memory.write mem 10 42;
   Alcotest.(check int) "read back" 42 (Hw.Memory.read mem 10);
-  Alcotest.(check int) "one write" 1 (Trace.Counters.memory_writes c);
-  Alcotest.(check int) "one read" 1 (Trace.Counters.memory_reads c);
+  Alcotest.(check int) "one write" 1 (Trace.Counters.get c Memory_writes);
+  Alcotest.(check int) "one read" 1 (Trace.Counters.get c Memory_reads);
   Alcotest.(check int) "two cycles" 2 (Trace.Counters.cycles c);
   ignore (Hw.Memory.read_silent mem 10);
   Hw.Memory.write_silent mem 11 1;
@@ -186,10 +186,10 @@ let test_sdw_fetch_counted () =
   with_descseg (fun c mem dbr ->
       let sdw = Hw.Sdw.v ~base:1024 ~bound:64 access in
       Hw.Descriptor.store_sdw mem dbr ~segno:5 sdw;
-      let before = Trace.Counters.sdw_fetches c in
+      let before = Trace.Counters.get c Sdw_fetches in
       ignore (Hw.Descriptor.fetch_sdw mem dbr ~segno:5);
       Alcotest.(check int) "counted" (before + 1)
-        (Trace.Counters.sdw_fetches c))
+        (Trace.Counters.get c Sdw_fetches))
 
 let suite =
   [

@@ -215,7 +215,7 @@ let test_spans_downward_hw () =
       let c = p.Os.Process.machine.Isa.Machine.counters in
       (* One span per counted cross-ring CALL/RETURN pair. *)
       Alcotest.(check int) "matches calls_downward counter" 5
-        (Trace.Counters.calls_downward c)
+        (Trace.Counters.get c Calls_downward)
 
 let test_spans_upward_outward_hw () =
   (* Upward calls go through the gatekeeper's outward-call path: the

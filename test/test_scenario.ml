@@ -16,8 +16,8 @@ let test_iterations_scale () =
       Alcotest.(check int)
         (Printf.sprintf "%d crossings" n)
         n
-        (Trace.Counters.calls_downward
-           p.Os.Process.machine.Isa.Machine.counters))
+        (Trace.Counters.get p.Os.Process.machine.Isa.Machine.counters
+           Calls_downward))
     [ 1; 2; 17; 64 ]
 
 let test_all_ring_pairs_legal () =

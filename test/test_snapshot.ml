@@ -122,9 +122,9 @@ let test_kill_and_resume_equals_straight_run () =
     "device output identical" (device_outputs straight)
     (device_outputs resumed);
   Alcotest.(check int) "resumed run counted its restore" 1
-    (Trace.Counters.restores (counters resumed));
+    (Trace.Counters.get (counters resumed) Restores);
   Alcotest.(check int) "straight run restored nothing" 0
-    (Trace.Counters.restores (counters straight))
+    (Trace.Counters.get (counters straight) Restores)
 
 let test_capture_is_deterministic () =
   let a = fresh_system () in
@@ -218,7 +218,7 @@ let test_audit_rejects_tampered_tables () =
   | Error (Os.Snapshot.Audit_rejected problems) ->
       Alcotest.(check bool) "at least one audit finding" true (problems <> []);
       Alcotest.(check int) "rejection counted" 1
-        (Trace.Counters.restore_audit_rejections (counters resumed))
+        (Trace.Counters.get (counters resumed) Restore_audit_rejections)
   | Error e ->
       Alcotest.failf "expected audit rejection, got %a" Os.Snapshot.pp_error e
   | Ok () -> Alcotest.fail "audit accepted a tampered image"
@@ -247,7 +247,7 @@ let test_watchdog_quarantines_stuck_process () =
     (Some ("pa", Os.Kernel.Exited))
     (List.find_opt (fun (n, _) -> n = "pa") exits);
   Alcotest.(check int) "watchdog_tripped counted" 1
-    (Trace.Counters.watchdog_tripped (counters sys))
+    (Trace.Counters.get (counters sys) Watchdog_tripped)
 
 let test_watchdog_off_by_default () =
   let store = build_store ~n1:5 ~n2:5 () in
@@ -266,7 +266,7 @@ let test_watchdog_off_by_default () =
     (Some ("stuck", Os.Kernel.Out_of_budget))
     (List.find_opt (fun (n, _) -> n = "stuck") exits);
   Alcotest.(check int) "no watchdog trip" 0
-    (Trace.Counters.watchdog_tripped (counters sys))
+    (Trace.Counters.get (counters sys) Watchdog_tripped)
 
 let test_journal_replay_and_divergence () =
   (* The dead run: two transfers, both journalled to the sink. *)
@@ -326,7 +326,7 @@ let test_warm_boot_rewinds_in_place () =
     (Trace.Counters.fields boot)
     (Trace.Counters.fields (Trace.Counters.snapshot (counters sys)));
   Alcotest.(check int) "warm boot did not count as a restore" 0
-    (Trace.Counters.restores (counters sys));
+    (Trace.Counters.get (counters sys) Restores);
   Alcotest.(check (list (pair int int)))
     "memory rewound" boot_mem (memory_words sys);
   let exits2 = Os.System.run sys in
@@ -655,13 +655,13 @@ let test_chain_survives_interlopers_and_counter_rollback () =
     Os.System.create ~mem_size:(1 lsl 20) ~store:(build_store ~n1:30 ~n2:12 ()) ()
   in
   let c = counters small in
-  let before = Trace.Counters.snapshots_written c in
+  let before = Trace.Counters.get c Snapshots_written in
   let length = Os.Snapshot.chain_length chain in
   (match Os.Snapshot.capture_delta small chain with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "capture_delta accepted a different memory size");
   Alcotest.(check int) "refused delta rolled back snapshots_written" before
-    (Trace.Counters.snapshots_written c);
+    (Trace.Counters.get c Snapshots_written);
   Alcotest.(check int) "refused delta did not advance the chain" length
     (Os.Snapshot.chain_length chain)
 

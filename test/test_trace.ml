@@ -3,11 +3,11 @@
 let test_counters_snapshot_diff () =
   let c = Trace.Counters.create () in
   Trace.Counters.charge c 10;
-  Trace.Counters.bump_instructions c;
+  Trace.Counters.bump c Instructions;
   let before = Trace.Counters.snapshot c in
   Trace.Counters.charge c 5;
-  Trace.Counters.bump_instructions c;
-  Trace.Counters.bump_traps c;
+  Trace.Counters.bump c Instructions;
+  Trace.Counters.bump c Traps;
   let after = Trace.Counters.snapshot c in
   let d = Trace.Counters.diff ~before ~after in
   Alcotest.(check int) "cycles diff" 5 d.Trace.Counters.cycles;
@@ -18,10 +18,10 @@ let test_counters_snapshot_diff () =
 let test_counters_reset () =
   let c = Trace.Counters.create () in
   Trace.Counters.charge c 10;
-  Trace.Counters.bump_calls_downward c;
+  Trace.Counters.bump c Calls_downward;
   Trace.Counters.reset c;
   Alcotest.(check int) "cycles zero" 0 (Trace.Counters.cycles c);
-  Alcotest.(check int) "calls zero" 0 (Trace.Counters.calls_downward c)
+  Alcotest.(check int) "calls zero" 0 (Trace.Counters.get c Calls_downward)
 
 let test_event_log_disabled_by_default () =
   let log = Trace.Event.create_log () in
@@ -283,7 +283,7 @@ let test_counters_fields_complete () =
 let test_counters_fields_diff () =
   let c = Trace.Counters.create () in
   let before = Trace.Counters.snapshot c in
-  Trace.Counters.bump_calls_upward c;
+  Trace.Counters.bump c Calls_upward;
   let after = Trace.Counters.snapshot c in
   let d = Trace.Counters.diff ~before ~after in
   let moved =
@@ -342,10 +342,10 @@ let test_counters_add () =
     let c = Trace.Counters.create () in
     Trace.Counters.charge c charges;
     for _ = 1 to bumps do
-      Trace.Counters.bump_instructions c;
-      Trace.Counters.bump_traps c
+      Trace.Counters.bump c Instructions;
+      Trace.Counters.bump c Traps
     done;
-    Trace.Counters.bump_calls_downward c;
+    Trace.Counters.bump c Calls_downward;
     Trace.Counters.snapshot c
   in
   let a = mk 100 3 and b = mk 7 2 in
@@ -370,7 +370,7 @@ let test_counters_add () =
 let test_counters_of_fields () =
   let c = Trace.Counters.create () in
   Trace.Counters.charge c 42;
-  Trace.Counters.bump_traps c;
+  Trace.Counters.bump c Traps;
   let s = Trace.Counters.snapshot c in
   let fl = Trace.Counters.fields s in
   (match Trace.Counters.of_fields fl with

@@ -95,83 +95,192 @@ let checksum_sub s ~pos ~len =
 
 let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
 
-(* {1 Writer primitives} *)
+(* {1 Codecs}
 
-(* Big-endian 8 bytes of the two's-complement value — what the old
-   byte-at-a-time loop produced, via the runtime's fast path. *)
-let w_int b n = Buffer.add_int64_be b (Int64.of_int n)
-
-let w_bool b v = w_int b (if v then 1 else 0)
-
-let w_str b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
-
-let w_opt f b = function
-  | None -> w_int b 0
-  | Some v ->
-      w_int b 1;
-      f b v
-
-let w_list f b xs =
-  w_int b (List.length xs);
-  List.iter (f b) xs
-
-let w_int_array b a =
-  w_int b (Array.length a);
-  Array.iter (w_int b) a
-
-let w_pair f g b (x, y) =
-  f b x;
-  g b y
-
-(* {1 Reader primitives} *)
+   Each type an image holds is described once, as a codec: [write]
+   appends a value's bytes and [read] consumes them, so the writer, the
+   restore path and [flatten]'s skip cannot drift apart.  A section of
+   live state is a codec from the live object to the function that
+   applies the decoded section to it: the section is read whole, then
+   applied in place with its shape checks.  Reads are sequenced with
+   [let] throughout, because the reader is stateful and OCaml leaves
+   the evaluation order of tuples and records unspecified. *)
 
 type reader = { data : string; mutable pos : int }
+type ('w, 'r) codec = { write : Buffer.t -> 'w -> unit; read : reader -> 'r }
+type 'a t = ('a, 'a) codec
 
 let need r n =
   if n < 0 || r.pos + n > String.length r.data then raise (Fail Truncated)
 
-let r_int r =
-  need r 8;
-  let v = Int64.to_int (String.get_int64_be r.data r.pos) in
-  r.pos <- r.pos + 8;
-  v
+(* Big-endian 8 bytes of the two's-complement value. *)
+let int : int t =
+  {
+    write = (fun b n -> Buffer.add_int64_be b (Int64.of_int n));
+    read =
+      (fun r ->
+        need r 8;
+        let v = Int64.to_int (String.get_int64_be r.data r.pos) in
+        r.pos <- r.pos + 8;
+        v);
+  }
 
-let r_bool r =
-  match r_int r with
-  | 0 -> false
-  | 1 -> true
-  | n -> corrupt (Printf.sprintf "bad boolean %d" n)
+let map c decode encode =
+  { write = (fun b v -> c.write b (encode v)); read = (fun r -> decode (c.read r)) }
 
-let r_str r =
-  let n = r_int r in
-  if n < 0 then corrupt "negative string length";
-  need r n;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+let unit = { write = (fun _ () -> ()); read = (fun _ -> ()) }
 
-let r_opt f r =
-  match r_int r with
-  | 0 -> None
-  | 1 -> Some (f r)
-  | n -> corrupt (Printf.sprintf "bad option tag %d" n)
+let bool =
+  map int
+    (function 0 -> false | 1 -> true | n -> corrupt (Printf.sprintf "bad boolean %d" n))
+    (fun v -> if v then 1 else 0)
 
-(* Explicit recursion: List.init's application order is unspecified,
-   and the reader is stateful. *)
-let r_list f r =
-  let n = r_int r in
-  if n < 0 then corrupt "negative list length";
-  let rec go i acc = if i = 0 then List.rev acc else go (i - 1) (f r :: acc) in
-  go n []
+let string =
+  {
+    write =
+      (fun b s ->
+        int.write b (String.length s);
+        Buffer.add_string b s);
+    read =
+      (fun r ->
+        let n = int.read r in
+        if n < 0 then corrupt "negative string length";
+        need r n;
+        let s = String.sub r.data r.pos n in
+        r.pos <- r.pos + n;
+        s);
+  }
 
-let r_int_array r = Array.of_list (r_list r_int r)
+let option c =
+  {
+    write =
+      (fun b -> function
+        | None -> int.write b 0
+        | Some v ->
+            int.write b 1;
+            c.write b v);
+    read =
+      (fun r ->
+        match int.read r with
+        | 0 -> None
+        | 1 -> Some (c.read r)
+        | n -> corrupt (Printf.sprintf "bad option tag %d" n));
+  }
 
-let r_pair f g r =
-  let x = f r in
-  let y = g r in
-  (x, y)
+(* Explicit recursion: List.init's application order is unspecified.
+   Every element takes at least one 8-byte word, so a count the rest of
+   the payload cannot hold is refused before anything is read for it. *)
+let list c =
+  {
+    write =
+      (fun b xs ->
+        int.write b (List.length xs);
+        List.iter (c.write b) xs);
+    read =
+      (fun r ->
+        let n = int.read r in
+        if n < 0 then corrupt "negative list length";
+        if n > (String.length r.data - r.pos) / 8 then
+          corrupt "list longer than the payload";
+        let rec go i acc =
+          if i = 0 then List.rev acc else go (i - 1) (c.read r :: acc)
+        in
+        go n []);
+  }
+
+let array c =
+  {
+    write =
+      (fun b a ->
+        int.write b (Array.length a);
+        Array.iter (c.write b) a);
+    read = (fun r -> Array.of_list ((list c).read r));
+  }
+
+let int_array = array int
+
+let pair a b =
+  {
+    write =
+      (fun buf (x, y) ->
+        a.write buf x;
+        b.write buf y);
+    read =
+      (fun r ->
+        let x = a.read r in
+        let y = b.read r in
+        (x, y));
+  }
+
+(* Records: [record make |+ (c, get) |+ ...] lists the fields in wire
+   order, each with its codec and how the writer gets it; [seal] turns
+   the list into a codec whose [read] feeds the fields to [make] in
+   that order. *)
+type ('w, 'f) fields =
+  | Make : 'f -> ('w, 'f) fields
+  | Field : ('w, 'r -> 'f) fields * ('a, 'r) codec * ('w -> 'a) -> ('w, 'f) fields
+
+let record make = Make make
+let ( |+ ) fields (c, get) = Field (fields, c, get)
+
+let rec write_fields : type w f. (w, f) fields -> Buffer.t -> w -> unit =
+ fun fields b v ->
+  match fields with
+  | Make _ -> ()
+  | Field (prev, c, get) ->
+      write_fields prev b v;
+      c.write b (get v)
+
+let rec read_fields : type w f. (w, f) fields -> reader -> f =
+ fun fields r ->
+  match fields with
+  | Make make -> make
+  | Field (prev, c, _) ->
+      let k = read_fields prev r in
+      let x = c.read r in
+      k x
+
+let seal fields = { write = write_fields fields; read = read_fields fields }
+
+let triple a b c =
+  seal
+    (record (fun x y z -> (x, y, z))
+    |+ (a, fun (x, _, _) -> x)
+    |+ (b, fun (_, y, _) -> y)
+    |+ (c, fun (_, _, z) -> z))
+
+(* Variants: each case is a codec for the constructor's payload, its
+   constructor and its projection; the tag on the wire is the case's
+   position in the list. *)
+type 'a case = Case : 'b t * ('b -> 'a) * ('a -> 'b option) -> 'a case
+
+let case c inj proj = Case (c, inj, proj)
+let const v = case unit (fun () -> v) (fun x -> if x = v then Some () else None)
+
+let cases what cs =
+  let table = Array.of_list cs in
+  {
+    write =
+      (fun b v ->
+        let rec go tag =
+          match table.(tag) with
+          | Case (c, _, proj) -> (
+              match proj v with
+              | Some x ->
+                  int.write b tag;
+                  c.write b x
+              | None -> go (tag + 1))
+        in
+        go 0);
+    read =
+      (fun r ->
+        let tag = int.read r in
+        if tag < 0 || tag >= Array.length table then
+          corrupt (Printf.sprintf "bad %s tag %d" what tag);
+        match table.(tag) with Case (c, inj, _) -> inj (c.read r));
+  }
+
+let enum what vs = cases what (List.map const vs)
 
 (* A constructor that validates (Ring.v, Addr.v, ...) turns a decoded
    out-of-range value into a typed [Corrupt]. *)
@@ -179,595 +288,574 @@ let guard what f = try f () with Invalid_argument m -> corrupt (what ^ ": " ^ m)
 
 (* {1 Domain codecs} *)
 
-let w_ring b ring = w_int b (Rings.Ring.to_int ring)
+let ring = map int (fun n -> guard "ring" (fun () -> Rings.Ring.v n)) Rings.Ring.to_int
 
-let r_ring r =
-  let n = r_int r in
-  guard "ring" (fun () -> Rings.Ring.v n)
+let addr =
+  seal
+    (record (fun segno wordno ->
+         guard "address" (fun () -> Hw.Addr.v ~segno ~wordno))
+    |+ (int, fun (a : Hw.Addr.t) -> a.segno)
+    |+ (int, fun a -> a.wordno))
 
-let w_addr b (a : Hw.Addr.t) =
-  w_int b a.Hw.Addr.segno;
-  w_int b a.Hw.Addr.wordno
+let ptr =
+  seal
+    (record (fun ring addr -> { Hw.Registers.ring; addr })
+    |+ (ring, fun (p : Hw.Registers.ptr) -> p.ring)
+    |+ (addr, fun p -> p.addr))
 
-let r_addr r =
-  let segno = r_int r in
-  let wordno = r_int r in
-  guard "address" (fun () -> Hw.Addr.v ~segno ~wordno)
+let dbr =
+  seal
+    (record (fun base bound stack_base -> { Hw.Registers.base; bound; stack_base })
+    |+ (int, fun (d : Hw.Registers.dbr) -> d.base)
+    |+ (int, fun d -> d.bound)
+    |+ (int, fun d -> d.stack_base))
 
-let w_ptr b (p : Hw.Registers.ptr) =
-  w_ring b p.Hw.Registers.ring;
-  w_addr b p.Hw.Registers.addr
-
-let r_ptr r =
-  let ring = r_ring r in
-  let addr = r_addr r in
-  { Hw.Registers.ring; addr }
-
-let w_dbr b (d : Hw.Registers.dbr) =
-  w_int b d.Hw.Registers.base;
-  w_int b d.Hw.Registers.bound;
-  w_int b d.Hw.Registers.stack_base
-
-let r_dbr r =
-  let base = r_int r in
-  let bound = r_int r in
-  let stack_base = r_int r in
-  { Hw.Registers.base; bound; stack_base }
-
-let w_regs b (g : Hw.Registers.t) =
-  w_dbr b g.Hw.Registers.dbr;
-  w_ptr b g.Hw.Registers.ipr;
-  w_int b (Array.length g.Hw.Registers.prs);
-  Array.iter (w_ptr b) g.Hw.Registers.prs;
-  w_int b g.Hw.Registers.a;
-  w_int b g.Hw.Registers.q;
-  w_int_array b g.Hw.Registers.xs;
-  w_bool b g.Hw.Registers.ind_zero;
-  w_bool b g.Hw.Registers.ind_negative
-
-let r_regs r =
-  let dbr = r_dbr r in
-  let ipr = r_ptr r in
-  let nprs = r_int r in
-  if nprs <> Hw.Registers.pr_count then corrupt "wrong pointer-register count";
-  let prs = Array.make nprs ipr in
-  for i = 0 to nprs - 1 do
-    prs.(i) <- r_ptr r
-  done;
-  let a = r_int r in
-  let q = r_int r in
-  let xs = r_int_array r in
-  if Array.length xs <> Hw.Registers.pr_count then
-    corrupt "wrong index-register count";
-  let ind_zero = r_bool r in
-  let ind_negative = r_bool r in
-  { Hw.Registers.dbr; ipr; prs; a; q; xs; ind_zero; ind_negative }
-
-let w_fault b (f : Rings.Fault.t) =
-  w_int b (Rings.Fault.code f);
-  match f with
-  | Rings.Fault.No_read_permission | No_write_permission | No_execute_permission
-  | Divide_by_zero | Timer_runout | Io_completion | Io_error ->
-      ()
-  | Read_bracket_violation { effective; top }
-  | Write_bracket_violation { effective; top }
-  | Outside_gate_extension { effective; top } ->
-      w_ring b effective;
-      w_ring b top
-  | Execute_bracket_violation { ring; bottom; top } ->
-      w_ring b ring;
-      w_ring b bottom;
-      w_ring b top
-  | Gate_violation { wordno; gates } ->
-      w_int b wordno;
-      w_int b gates
-  | Upward_call { from_ring; to_ring; segno; wordno } ->
-      w_ring b from_ring;
-      w_ring b to_ring;
-      w_int b segno;
-      w_int b wordno
-  | Effective_ring_raised { exec; effective }
-  | Transfer_ring_change { exec; effective } ->
-      w_ring b exec;
-      w_ring b effective
-  | Downward_return { from_ring; to_ring } ->
-      w_ring b from_ring;
-      w_ring b to_ring
-  | Privileged_instruction { ring } | Halt_in_slave_ring { ring } ->
-      w_ring b ring
-  | Missing_segment { segno } -> w_int b segno
-  | Missing_page { segno; pageno } ->
-      w_int b segno;
-      w_int b pageno
-  | Bound_violation { segno; wordno; bound } ->
-      w_int b segno;
-      w_int b wordno;
-      w_int b bound
-  | Illegal_opcode { word } -> w_int b word
-  | Cross_ring_transfer { segno; wordno } ->
-      w_int b segno;
-      w_int b wordno
-  | Service_call { code } -> w_int b code
-  | Parity_error { addr } -> w_int b addr
-  | Watchdog_timeout { budget } -> w_int b budget
-  | Quota_exhausted { resource; limit } ->
-      w_str b resource;
-      w_int b limit
-  | Cap_load_violation { effective } | Cap_store_violation { effective } ->
-      w_ring b effective
-  | Cap_exec_violation { ring } -> w_ring b ring
-  | Cap_seal_violation { wordno; gates } ->
-      w_int b wordno;
-      w_int b gates
-  | Cap_attenuation_violation { effective; limit } ->
-      w_ring b effective;
-      w_ring b limit
-  | Cap_tag_violation { addr; segno } ->
-      w_int b addr;
-      w_int b segno
-
-let r_fault r : Rings.Fault.t =
-  match r_int r with
-  | 0 -> No_read_permission
-  | 1 -> No_write_permission
-  | 2 -> No_execute_permission
-  | 3 ->
-      let effective = r_ring r in
-      let top = r_ring r in
-      Read_bracket_violation { effective; top }
-  | 4 ->
-      let effective = r_ring r in
-      let top = r_ring r in
-      Write_bracket_violation { effective; top }
-  | 5 ->
-      let ring = r_ring r in
-      let bottom = r_ring r in
-      let top = r_ring r in
-      Execute_bracket_violation { ring; bottom; top }
-  | 6 ->
-      let wordno = r_int r in
-      let gates = r_int r in
-      Gate_violation { wordno; gates }
-  | 7 ->
-      let effective = r_ring r in
-      let top = r_ring r in
-      Outside_gate_extension { effective; top }
-  | 8 ->
-      let from_ring = r_ring r in
-      let to_ring = r_ring r in
-      let segno = r_int r in
-      let wordno = r_int r in
-      Upward_call { from_ring; to_ring; segno; wordno }
-  | 9 ->
-      let exec = r_ring r in
-      let effective = r_ring r in
-      Effective_ring_raised { exec; effective }
-  | 10 ->
-      let from_ring = r_ring r in
-      let to_ring = r_ring r in
-      Downward_return { from_ring; to_ring }
-  | 11 ->
-      let exec = r_ring r in
-      let effective = r_ring r in
-      Transfer_ring_change { exec; effective }
-  | 12 -> Privileged_instruction { ring = r_ring r }
-  | 13 -> Missing_segment { segno = r_int r }
-  | 14 ->
-      let segno = r_int r in
-      let pageno = r_int r in
-      Missing_page { segno; pageno }
-  | 15 ->
-      let segno = r_int r in
-      let wordno = r_int r in
-      let bound = r_int r in
-      Bound_violation { segno; wordno; bound }
-  | 16 -> Illegal_opcode { word = r_int r }
-  | 17 ->
-      let segno = r_int r in
-      let wordno = r_int r in
-      Cross_ring_transfer { segno; wordno }
-  | 18 -> Halt_in_slave_ring { ring = r_ring r }
-  | 19 -> Divide_by_zero
-  | 20 -> Service_call { code = r_int r }
-  | 21 -> Timer_runout
-  | 22 -> Io_completion
-  | 23 -> Parity_error { addr = r_int r }
-  | 24 -> Io_error
-  | 25 -> Watchdog_timeout { budget = r_int r }
-  | 26 ->
-      let resource = r_str r in
-      let limit = r_int r in
-      Quota_exhausted { resource; limit }
-  | 27 -> Cap_load_violation { effective = r_ring r }
-  | 28 -> Cap_store_violation { effective = r_ring r }
-  | 29 -> Cap_exec_violation { ring = r_ring r }
-  | 30 ->
-      let wordno = r_int r in
-      let gates = r_int r in
-      Cap_seal_violation { wordno; gates }
-  | 31 ->
-      let effective = r_ring r in
-      let limit = r_ring r in
-      Cap_attenuation_violation { effective; limit }
-  | 32 ->
-      let addr = r_int r in
-      let segno = r_int r in
-      Cap_tag_violation { addr; segno }
-  | n -> corrupt (Printf.sprintf "bad fault code %d" n)
-
-let w_exit b (e : Kernel.exit) =
-  match e with
-  | Kernel.Halted -> w_int b 0
-  | Kernel.Exited -> w_int b 1
-  | Kernel.Preempted -> w_int b 2
-  | Kernel.Blocked -> w_int b 3
-  | Kernel.Terminated f ->
-      w_int b 4;
-      w_fault b f
-  | Kernel.Gatekeeper_error msg ->
-      w_int b 5;
-      w_str b msg
-  | Kernel.Out_of_budget -> w_int b 6
-  | Kernel.Quarantined f ->
-      w_int b 7;
-      w_fault b f
-
-let r_exit r : Kernel.exit =
-  match r_int r with
-  | 0 -> Kernel.Halted
-  | 1 -> Kernel.Exited
-  | 2 -> Kernel.Preempted
-  | 3 -> Kernel.Blocked
-  | 4 -> Kernel.Terminated (r_fault r)
-  | 5 -> Kernel.Gatekeeper_error (r_str r)
-  | 6 -> Kernel.Out_of_budget
-  | 7 -> Kernel.Quarantined (r_fault r)
-  | n -> corrupt (Printf.sprintf "bad exit tag %d" n)
-
-let w_access b (a : Rings.Access.t) =
-  w_bool b a.Rings.Access.read;
-  w_bool b a.Rings.Access.write;
-  w_bool b a.Rings.Access.execute;
-  w_int b (Rings.Ring.to_int a.Rings.Access.brackets.Rings.Brackets.r1);
-  w_int b (Rings.Ring.to_int a.Rings.Access.brackets.Rings.Brackets.r2);
-  w_int b (Rings.Ring.to_int a.Rings.Access.brackets.Rings.Brackets.r3);
-  w_int b a.Rings.Access.gates
-
-let r_access r : Rings.Access.t =
-  let read = r_bool r in
-  let write = r_bool r in
-  let execute = r_bool r in
-  let r1 = r_int r in
-  let r2 = r_int r in
-  let r3 = r_int r in
-  let brackets = guard "brackets" (fun () -> Rings.Brackets.of_ints r1 r2 r3) in
-  let gates = r_int r in
-  if gates < 0 then corrupt "negative gate count";
-  { Rings.Access.read; write; execute; brackets; gates }
-
-let w_io_request b (q : Isa.Machine.io_request) =
-  w_addr b q.Isa.Machine.ccw;
-  w_addr b q.Isa.Machine.buffer;
-  w_int b (match q.Isa.Machine.direction with `Read -> 0 | `Write -> 1);
-  w_int b q.Isa.Machine.count
-
-let r_io_request r : Isa.Machine.io_request =
-  let ccw = r_addr r in
-  let buffer = r_addr r in
-  let direction =
-    match r_int r with
-    | 0 -> `Read
-    | 1 -> `Write
-    | n -> corrupt (Printf.sprintf "bad I/O direction %d" n)
+(* Exactly [pr_count] pointer registers, and as many index registers. *)
+let bank what c =
+  let check a =
+    if Array.length a <> Hw.Registers.pr_count then
+      corrupt (Printf.sprintf "wrong %s count" what);
+    a
   in
-  let count = r_int r in
-  { Isa.Machine.ccw; buffer; direction; count }
+  map (array c) check Fun.id
 
-let crossing_tag = function
-  | Trace.Event.Same_ring -> 0
-  | Trace.Event.Downward -> 1
-  | Trace.Event.Upward -> 2
-  | Trace.Event.Recovery -> 3
+let regs =
+  seal
+    (record (fun dbr ipr prs a q xs ind_zero ind_negative ->
+         { Hw.Registers.dbr; ipr; prs; a; q; xs; ind_zero; ind_negative })
+    |+ (dbr, fun (g : Hw.Registers.t) -> g.dbr)
+    |+ (ptr, fun g -> g.ipr)
+    |+ (bank "pointer-register" ptr, fun g -> g.prs)
+    |+ (int, fun g -> g.a)
+    |+ (int, fun g -> g.q)
+    |+ (bank "index-register" int, fun g -> g.xs)
+    |+ (bool, fun g -> g.ind_zero)
+    |+ (bool, fun g -> g.ind_negative))
 
-let tag_crossing = function
-  | 0 -> Trace.Event.Same_ring
-  | 1 -> Trace.Event.Downward
-  | 2 -> Trace.Event.Upward
-  | 3 -> Trace.Event.Recovery
-  | n -> corrupt (Printf.sprintf "bad crossing tag %d" n)
+(* In {!Rings.Fault.code} order: a fault's tag on the wire is its code. *)
+let fault : Rings.Fault.t t =
+  let open Rings.Fault in
+  cases "fault"
+    [
+      const No_read_permission;
+      const No_write_permission;
+      const No_execute_permission;
+      case (pair ring ring)
+        (fun (effective, top) -> Read_bracket_violation { effective; top })
+        (function
+          | Read_bracket_violation { effective; top } -> Some (effective, top)
+          | _ -> None);
+      case (pair ring ring)
+        (fun (effective, top) -> Write_bracket_violation { effective; top })
+        (function
+          | Write_bracket_violation { effective; top } -> Some (effective, top)
+          | _ -> None);
+      case (triple ring ring ring)
+        (fun (ring, bottom, top) -> Execute_bracket_violation { ring; bottom; top })
+        (function
+          | Execute_bracket_violation { ring; bottom; top } -> Some (ring, bottom, top)
+          | _ -> None);
+      case (pair int int)
+        (fun (wordno, gates) -> Gate_violation { wordno; gates })
+        (function Gate_violation { wordno; gates } -> Some (wordno, gates) | _ -> None);
+      case (pair ring ring)
+        (fun (effective, top) -> Outside_gate_extension { effective; top })
+        (function
+          | Outside_gate_extension { effective; top } -> Some (effective, top)
+          | _ -> None);
+      case (pair (pair ring ring) (pair int int))
+        (fun ((from_ring, to_ring), (segno, wordno)) ->
+          Upward_call { from_ring; to_ring; segno; wordno })
+        (function
+          | Upward_call { from_ring; to_ring; segno; wordno } ->
+              Some ((from_ring, to_ring), (segno, wordno))
+          | _ -> None);
+      case (pair ring ring)
+        (fun (exec, effective) -> Effective_ring_raised { exec; effective })
+        (function
+          | Effective_ring_raised { exec; effective } -> Some (exec, effective)
+          | _ -> None);
+      case (pair ring ring)
+        (fun (from_ring, to_ring) -> Downward_return { from_ring; to_ring })
+        (function
+          | Downward_return { from_ring; to_ring } -> Some (from_ring, to_ring)
+          | _ -> None);
+      case (pair ring ring)
+        (fun (exec, effective) -> Transfer_ring_change { exec; effective })
+        (function
+          | Transfer_ring_change { exec; effective } -> Some (exec, effective)
+          | _ -> None);
+      case ring
+        (fun ring -> Privileged_instruction { ring })
+        (function Privileged_instruction { ring } -> Some ring | _ -> None);
+      case int
+        (fun segno -> Missing_segment { segno })
+        (function Missing_segment { segno } -> Some segno | _ -> None);
+      case (pair int int)
+        (fun (segno, pageno) -> Missing_page { segno; pageno })
+        (function Missing_page { segno; pageno } -> Some (segno, pageno) | _ -> None);
+      case (triple int int int)
+        (fun (segno, wordno, bound) -> Bound_violation { segno; wordno; bound })
+        (function
+          | Bound_violation { segno; wordno; bound } -> Some (segno, wordno, bound)
+          | _ -> None);
+      case int
+        (fun word -> Illegal_opcode { word })
+        (function Illegal_opcode { word } -> Some word | _ -> None);
+      case (pair int int)
+        (fun (segno, wordno) -> Cross_ring_transfer { segno; wordno })
+        (function
+          | Cross_ring_transfer { segno; wordno } -> Some (segno, wordno)
+          | _ -> None);
+      case ring
+        (fun ring -> Halt_in_slave_ring { ring })
+        (function Halt_in_slave_ring { ring } -> Some ring | _ -> None);
+      const Divide_by_zero;
+      case int
+        (fun code -> Service_call { code })
+        (function Service_call { code } -> Some code | _ -> None);
+      const Timer_runout;
+      const Io_completion;
+      case int
+        (fun addr -> Parity_error { addr })
+        (function Parity_error { addr } -> Some addr | _ -> None);
+      const Io_error;
+      case int
+        (fun budget -> Watchdog_timeout { budget })
+        (function Watchdog_timeout { budget } -> Some budget | _ -> None);
+      case (pair string int)
+        (fun (resource, limit) -> Quota_exhausted { resource; limit })
+        (function
+          | Quota_exhausted { resource; limit } -> Some (resource, limit)
+          | _ -> None);
+      case ring
+        (fun effective -> Cap_load_violation { effective })
+        (function Cap_load_violation { effective } -> Some effective | _ -> None);
+      case ring
+        (fun effective -> Cap_store_violation { effective })
+        (function Cap_store_violation { effective } -> Some effective | _ -> None);
+      case ring
+        (fun ring -> Cap_exec_violation { ring })
+        (function Cap_exec_violation { ring } -> Some ring | _ -> None);
+      case (pair int int)
+        (fun (wordno, gates) -> Cap_seal_violation { wordno; gates })
+        (function
+          | Cap_seal_violation { wordno; gates } -> Some (wordno, gates)
+          | _ -> None);
+      case (pair ring ring)
+        (fun (effective, limit) -> Cap_attenuation_violation { effective; limit })
+        (function
+          | Cap_attenuation_violation { effective; limit } -> Some (effective, limit)
+          | _ -> None);
+      case (pair int int)
+        (fun (addr, segno) -> Cap_tag_violation { addr; segno })
+        (function Cap_tag_violation { addr; segno } -> Some (addr, segno) | _ -> None);
+    ]
 
-let w_event b (e : Trace.Event.t) =
-  match e with
-  | Trace.Event.Instruction { ring; segno; wordno; text } ->
-      w_int b 0;
-      w_int b ring;
-      w_int b segno;
-      w_int b wordno;
-      w_str b text
-  | Trace.Event.Call { crossing; from_ring; to_ring; segno; wordno } ->
-      w_int b 1;
-      w_int b (crossing_tag crossing);
-      w_int b from_ring;
-      w_int b to_ring;
-      w_int b segno;
-      w_int b wordno
-  | Trace.Event.Return { crossing; from_ring; to_ring; segno; wordno } ->
-      w_int b 2;
-      w_int b (crossing_tag crossing);
-      w_int b from_ring;
-      w_int b to_ring;
-      w_int b segno;
-      w_int b wordno
-  | Trace.Event.Trap { ring; cause } ->
-      w_int b 3;
-      w_int b ring;
-      w_str b cause
-  | Trace.Event.Gatekeeper { action } ->
-      w_int b 4;
-      w_str b action
-  | Trace.Event.Descriptor_switch { from_ring; to_ring } ->
-      w_int b 5;
-      w_int b from_ring;
-      w_int b to_ring
-  | Trace.Event.Note s ->
-      w_int b 6;
-      w_str b s
+let exit : Kernel.exit t =
+  cases "exit"
+    [
+      const Kernel.Halted;
+      const Kernel.Exited;
+      const Kernel.Preempted;
+      const Kernel.Blocked;
+      case fault
+        (fun f -> Kernel.Terminated f)
+        (function Kernel.Terminated f -> Some f | _ -> None);
+      case string
+        (fun msg -> Kernel.Gatekeeper_error msg)
+        (function Kernel.Gatekeeper_error msg -> Some msg | _ -> None);
+      const Kernel.Out_of_budget;
+      case fault
+        (fun f -> Kernel.Quarantined f)
+        (function Kernel.Quarantined f -> Some f | _ -> None);
+    ]
 
-let r_event r : Trace.Event.t =
-  match r_int r with
-  | 0 ->
-      let ring = r_int r in
-      let segno = r_int r in
-      let wordno = r_int r in
-      let text = r_str r in
-      Trace.Event.Instruction { ring; segno; wordno; text }
-  | 1 ->
-      let crossing = tag_crossing (r_int r) in
-      let from_ring = r_int r in
-      let to_ring = r_int r in
-      let segno = r_int r in
-      let wordno = r_int r in
-      Trace.Event.Call { crossing; from_ring; to_ring; segno; wordno }
-  | 2 ->
-      let crossing = tag_crossing (r_int r) in
-      let from_ring = r_int r in
-      let to_ring = r_int r in
-      let segno = r_int r in
-      let wordno = r_int r in
-      Trace.Event.Return { crossing; from_ring; to_ring; segno; wordno }
-  | 3 ->
-      let ring = r_int r in
-      let cause = r_str r in
-      Trace.Event.Trap { ring; cause }
-  | 4 -> Trace.Event.Gatekeeper { action = r_str r }
-  | 5 ->
-      let from_ring = r_int r in
-      let to_ring = r_int r in
-      Trace.Event.Descriptor_switch { from_ring; to_ring }
-  | 6 -> Trace.Event.Note (r_str r)
-  | n -> corrupt (Printf.sprintf "bad event tag %d" n)
-
-let w_stamped b (s : Trace.Event.stamped) =
-  w_int b s.Trace.Event.seq;
-  w_int b s.Trace.Event.cycles;
-  w_event b s.Trace.Event.event
-
-let r_stamped r : Trace.Event.stamped =
-  let seq = r_int r in
-  let cycles = r_int r in
-  let event = r_event r in
-  { Trace.Event.seq; cycles; event }
-
-let w_open_span b (o : Trace.Span.open_span) =
-  w_int b (crossing_tag o.Trace.Span.o_kind);
-  w_int b o.Trace.Span.o_from_ring;
-  w_int b o.Trace.Span.o_to_ring;
-  w_int b o.Trace.Span.o_segno;
-  w_int b o.Trace.Span.o_wordno;
-  w_int b o.Trace.Span.o_start;
-  w_int b o.Trace.Span.o_depth;
-  w_int b o.Trace.Span.o_seq
-
-let r_open_span r : Trace.Span.open_span =
-  let o_kind = tag_crossing (r_int r) in
-  let o_from_ring = r_int r in
-  let o_to_ring = r_int r in
-  let o_segno = r_int r in
-  let o_wordno = r_int r in
-  let o_start = r_int r in
-  let o_depth = r_int r in
-  let o_seq = r_int r in
-  {
-    Trace.Span.o_kind;
-    o_from_ring;
-    o_to_ring;
-    o_segno;
-    o_wordno;
-    o_start;
-    o_depth;
-    o_seq;
-  }
-
-let w_completed b (c : Trace.Span.completed) =
-  w_int b (crossing_tag c.Trace.Span.kind);
-  w_int b c.Trace.Span.from_ring;
-  w_int b c.Trace.Span.to_ring;
-  w_int b c.Trace.Span.segno;
-  w_int b c.Trace.Span.wordno;
-  w_int b c.Trace.Span.start_cycles;
-  w_int b c.Trace.Span.end_cycles;
-  w_int b c.Trace.Span.depth;
-  w_int b c.Trace.Span.seq;
-  w_bool b c.Trace.Span.forced
-
-let r_completed r : Trace.Span.completed =
-  let kind = tag_crossing (r_int r) in
-  let from_ring = r_int r in
-  let to_ring = r_int r in
-  let segno = r_int r in
-  let wordno = r_int r in
-  let start_cycles = r_int r in
-  let end_cycles = r_int r in
-  let depth = r_int r in
-  let seq = r_int r in
-  let forced = r_bool r in
-  {
-    Trace.Span.kind;
-    from_ring;
-    to_ring;
-    segno;
-    wordno;
-    start_cycles;
-    end_cycles;
-    depth;
-    seq;
-    forced;
-  }
-
-let w_hist b (buckets, count, sum, vmin, vmax) =
-  w_int_array b buckets;
-  w_int b count;
-  w_int b sum;
-  w_int b vmin;
-  w_int b vmax
-
-let r_hist r =
-  let buckets = r_int_array r in
-  let count = r_int r in
-  let sum = r_int r in
-  let vmin = r_int r in
-  let vmax = r_int r in
-  (buckets, count, sum, vmin, vmax)
-
-let w_placement b (p : Process.placement) =
-  match p with
-  | Process.Direct { base; bound } ->
-      w_int b 0;
-      w_int b base;
-      w_int b bound
-  | Process.Paged_at { pt_base; bound } ->
-      w_int b 1;
-      w_int b pt_base;
-      w_int b bound
-
-let r_placement r : Process.placement =
-  match r_int r with
-  | 0 ->
-      let base = r_int r in
-      let bound = r_int r in
-      Process.Direct { base; bound }
-  | 1 ->
-      let pt_base = r_int r in
-      let bound = r_int r in
-      Process.Paged_at { pt_base; bound }
-  | n -> corrupt (Printf.sprintf "bad placement tag %d" n)
-
-let w_loaded b (l : Process.loaded) =
-  w_str b l.Process.name;
-  w_int b l.Process.segno;
-  w_int b l.Process.base;
-  w_int b l.Process.bound;
-  w_access b l.Process.access;
-  w_list (w_pair w_str w_int) b l.Process.symbols
-
-let r_loaded r : Process.loaded =
-  let name = r_str r in
-  let segno = r_int r in
-  let base = r_int r in
-  let bound = r_int r in
-  let access = r_access r in
-  let symbols = r_list (r_pair r_str r_int) r in
-  { Process.name; segno; base; bound; access; symbols }
-
-let w_crossing b (c : Process.crossing) =
-  w_int b
-    (match c.Process.kind with Process.Inward -> 0 | Process.Outward -> 1);
-  w_regs b c.Process.saved;
-  w_ring b c.Process.caller_ring;
-  w_ring b c.Process.callee_ring;
-  w_list (w_pair w_addr w_addr) b c.Process.copy_back
-
-let r_crossing r : Process.crossing =
-  let kind =
-    match r_int r with
-    | 0 -> Process.Inward
-    | 1 -> Process.Outward
-    | n -> corrupt (Printf.sprintf "bad crossing kind %d" n)
+let access =
+  let bracket get =
+    (int, fun (a : Rings.Access.t) -> Rings.Ring.to_int (get a.brackets))
   in
-  let saved = r_regs r in
-  let caller_ring = r_ring r in
-  let callee_ring = r_ring r in
-  let copy_back = r_list (r_pair r_addr r_addr) r in
-  { Process.kind; saved; caller_ring; callee_ring; copy_back }
+  seal
+    (record (fun read write execute r1 r2 r3 gates ->
+         let brackets =
+           guard "brackets" (fun () -> Rings.Brackets.of_ints r1 r2 r3)
+         in
+         if gates < 0 then corrupt "negative gate count";
+         { Rings.Access.read; write; execute; brackets; gates })
+    |+ (bool, fun (a : Rings.Access.t) -> a.read)
+    |+ (bool, fun a -> a.write)
+    |+ (bool, fun a -> a.execute)
+    |+ bracket (fun b -> b.Rings.Brackets.r1)
+    |+ bracket (fun b -> b.Rings.Brackets.r2)
+    |+ bracket (fun b -> b.Rings.Brackets.r3)
+    |+ (int, fun a -> a.gates))
 
-let w_inject_dump b (d : Hw.Inject.dump) =
-  w_int b d.Hw.Inject.dump_rng;
-  w_list (w_pair w_int w_int) b d.Hw.Inject.dump_armed;
-  w_list (w_pair w_int w_int) b d.Hw.Inject.dump_poison;
-  w_int b d.Hw.Inject.dump_total
+let io_request =
+  seal
+    (record (fun ccw buffer direction count ->
+         { Isa.Machine.ccw; buffer; direction; count })
+    |+ (addr, fun (q : Isa.Machine.io_request) -> q.ccw)
+    |+ (addr, fun q -> q.buffer)
+    |+ (enum "I/O direction" [ `Read; `Write ], fun q -> q.direction)
+    |+ (int, fun q -> q.count))
 
-let r_inject_dump r : Hw.Inject.dump =
-  let dump_rng = r_int r in
-  let dump_armed = r_list (r_pair r_int r_int) r in
-  let dump_poison = r_list (r_pair r_int r_int) r in
-  let dump_total = r_int r in
-  { Hw.Inject.dump_rng; dump_armed; dump_poison; dump_total }
+let crossing_kind =
+  Trace.Event.(enum "crossing" [ Same_ring; Downward; Upward; Recovery ])
+
+(* A call's or a return's crossing kind, rings and target. *)
+let transfer =
+  seal
+    (record (fun crossing from_ring to_ring segno wordno ->
+         (crossing, from_ring, to_ring, segno, wordno))
+    |+ (crossing_kind, fun (c, _, _, _, _) -> c)
+    |+ (int, fun (_, f, _, _, _) -> f)
+    |+ (int, fun (_, _, t, _, _) -> t)
+    |+ (int, fun (_, _, _, s, _) -> s)
+    |+ (int, fun (_, _, _, _, w) -> w))
+
+let event : Trace.Event.t t =
+  let open Trace.Event in
+  cases "event"
+    [
+      case
+        (pair (triple int int int) string)
+        (fun ((ring, segno, wordno), text) ->
+          Instruction { ring; segno; wordno; text })
+        (function
+          | Instruction { ring; segno; wordno; text } ->
+              Some ((ring, segno, wordno), text)
+          | _ -> None);
+      case transfer
+        (fun (crossing, from_ring, to_ring, segno, wordno) ->
+          Call { crossing; from_ring; to_ring; segno; wordno })
+        (function
+          | Call { crossing; from_ring; to_ring; segno; wordno } ->
+              Some (crossing, from_ring, to_ring, segno, wordno)
+          | _ -> None);
+      case transfer
+        (fun (crossing, from_ring, to_ring, segno, wordno) ->
+          Return { crossing; from_ring; to_ring; segno; wordno })
+        (function
+          | Return { crossing; from_ring; to_ring; segno; wordno } ->
+              Some (crossing, from_ring, to_ring, segno, wordno)
+          | _ -> None);
+      case (pair int string)
+        (fun (ring, cause) -> Trap { ring; cause })
+        (function Trap { ring; cause } -> Some (ring, cause) | _ -> None);
+      case string
+        (fun action -> Gatekeeper { action })
+        (function Gatekeeper { action } -> Some action | _ -> None);
+      case (pair int int)
+        (fun (from_ring, to_ring) -> Descriptor_switch { from_ring; to_ring })
+        (function
+          | Descriptor_switch { from_ring; to_ring } -> Some (from_ring, to_ring)
+          | _ -> None);
+      case string (fun s -> Note s) (function Note s -> Some s | _ -> None);
+    ]
+
+let stamped =
+  seal
+    (record (fun seq cycles event -> { Trace.Event.seq; cycles; event })
+    |+ (int, fun (s : Trace.Event.stamped) -> s.seq)
+    |+ (int, fun s -> s.cycles)
+    |+ (event, fun s -> s.event))
+
+let event_dump =
+  seal
+    (record
+       (fun
+         d_entries
+         d_next_seq
+         d_dropped
+         d_sampled_out
+         d_high_water
+         d_sample_interval
+         d_sample_seed
+         d_instr_interval
+       ->
+         {
+           Trace.Event.d_entries;
+           d_next_seq;
+           d_dropped;
+           d_sampled_out;
+           d_high_water;
+           d_sample_interval;
+           d_sample_seed;
+           d_instr_interval;
+         })
+    |+ (list stamped, fun (d : Trace.Event.dump) -> d.d_entries)
+    |+ (int, fun d -> d.d_next_seq)
+    |+ (int, fun d -> d.d_dropped)
+    |+ (int, fun d -> d.d_sampled_out)
+    |+ (int, fun d -> d.d_high_water)
+    |+ (int, fun d -> d.d_sample_interval)
+    |+ (int, fun d -> d.d_sample_seed)
+    |+ (int, fun d -> d.d_instr_interval))
+
+let open_span =
+  seal
+    (record
+       (fun o_kind o_from_ring o_to_ring o_segno o_wordno o_start o_depth o_seq ->
+         {
+           Trace.Span.o_kind;
+           o_from_ring;
+           o_to_ring;
+           o_segno;
+           o_wordno;
+           o_start;
+           o_depth;
+           o_seq;
+         })
+    |+ (crossing_kind, fun (o : Trace.Span.open_span) -> o.o_kind)
+    |+ (int, fun o -> o.o_from_ring)
+    |+ (int, fun o -> o.o_to_ring)
+    |+ (int, fun o -> o.o_segno)
+    |+ (int, fun o -> o.o_wordno)
+    |+ (int, fun o -> o.o_start)
+    |+ (int, fun o -> o.o_depth)
+    |+ (int, fun o -> o.o_seq))
+
+let completed =
+  seal
+    (record
+       (fun
+         kind
+         from_ring
+         to_ring
+         segno
+         wordno
+         start_cycles
+         end_cycles
+         depth
+         seq
+         forced
+       ->
+         {
+           Trace.Span.kind;
+           from_ring;
+           to_ring;
+           segno;
+           wordno;
+           start_cycles;
+           end_cycles;
+           depth;
+           seq;
+           forced;
+         })
+    |+ (crossing_kind, fun (c : Trace.Span.completed) -> c.kind)
+    |+ (int, fun c -> c.from_ring)
+    |+ (int, fun c -> c.to_ring)
+    |+ (int, fun c -> c.segno)
+    |+ (int, fun c -> c.wordno)
+    |+ (int, fun c -> c.start_cycles)
+    |+ (int, fun c -> c.end_cycles)
+    |+ (int, fun c -> c.depth)
+    |+ (int, fun c -> c.seq)
+    |+ (bool, fun c -> c.forced))
+
+(* A latency histogram: buckets, count, sum, min, max. *)
+let hist =
+  seal
+    (record (fun buckets count sum vmin vmax -> (buckets, count, sum, vmin, vmax))
+    |+ (int_array, fun (b, _, _, _, _) -> b)
+    |+ (int, fun (_, c, _, _, _) -> c)
+    |+ (int, fun (_, _, s, _, _) -> s)
+    |+ (int, fun (_, _, _, lo, _) -> lo)
+    |+ (int, fun (_, _, _, _, hi) -> hi))
+
+let span_dump =
+  seal
+    (record
+       (fun
+         dump_stack
+         dump_next_seq
+         dump_completed
+         dump_dropped
+         dump_unmatched
+         dump_sampled_out
+         dump_sample_interval
+         dump_sample_seed
+         dump_hists
+       ->
+         {
+           Trace.Span.dump_stack;
+           dump_next_seq;
+           dump_completed;
+           dump_dropped;
+           dump_unmatched;
+           dump_sampled_out;
+           dump_sample_interval;
+           dump_sample_seed;
+           dump_hists;
+         })
+    |+ (list open_span, fun (d : Trace.Span.dump) -> d.dump_stack)
+    |+ (int, fun d -> d.dump_next_seq)
+    |+ (list completed, fun d -> d.dump_completed)
+    |+ (int, fun d -> d.dump_dropped)
+    |+ (int, fun d -> d.dump_unmatched)
+    |+ (int, fun d -> d.dump_sampled_out)
+    |+ (int, fun d -> d.dump_sample_interval)
+    |+ (int, fun d -> d.dump_sample_seed)
+    |+ (array hist, fun d -> d.dump_hists))
+
+(* Per-ring cycles and instructions, per-segment (segno, cycles,
+   instructions), kernel cycles. *)
+let profile_dump =
+  seal
+    (record (fun rc ri segments kernel -> (rc, ri, segments, kernel))
+    |+ (int_array, fun (rc, _, _, _) -> rc)
+    |+ (int_array, fun (_, ri, _, _) -> ri)
+    |+ (list (triple int int int), fun (_, _, s, _) -> s)
+    |+ (int, fun (_, _, _, k) -> k))
+
+let placement : Process.placement t =
+  cases "placement"
+    [
+      case (pair int int)
+        (fun (base, bound) -> Process.Direct { base; bound })
+        (function Process.Direct { base; bound } -> Some (base, bound) | _ -> None);
+      case (pair int int)
+        (fun (pt_base, bound) -> Process.Paged_at { pt_base; bound })
+        (function
+          | Process.Paged_at { pt_base; bound } -> Some (pt_base, bound)
+          | _ -> None);
+    ]
+
+let loaded =
+  seal
+    (record (fun name segno base bound access symbols ->
+         { Process.name; segno; base; bound; access; symbols })
+    |+ (string, fun (l : Process.loaded) -> l.name)
+    |+ (int, fun l -> l.segno)
+    |+ (int, fun l -> l.base)
+    |+ (int, fun l -> l.bound)
+    |+ (access, fun l -> l.access)
+    |+ (list (pair string int), fun l -> l.symbols))
+
+let crossing =
+  seal
+    (record (fun kind saved caller_ring callee_ring copy_back ->
+         { Process.kind; saved; caller_ring; callee_ring; copy_back })
+    |+ ( enum "crossing kind" [ Process.Inward; Process.Outward ],
+         fun (c : Process.crossing) -> c.kind )
+    |+ (regs, fun c -> c.saved)
+    |+ (ring, fun c -> c.caller_ring)
+    |+ (ring, fun c -> c.callee_ring)
+    |+ (list (pair addr addr), fun c -> c.copy_back))
+
+let inject_dump =
+  seal
+    (record (fun dump_rng dump_armed dump_poison dump_total ->
+         { Hw.Inject.dump_rng; dump_armed; dump_poison; dump_total })
+    |+ (int, fun (d : Hw.Inject.dump) -> d.dump_rng)
+    |+ (list (pair int int), fun d -> d.dump_armed)
+    |+ (list (pair int int), fun d -> d.dump_poison)
+    |+ (int, fun d -> d.dump_total))
+
+let sealed_return =
+  seal
+    (record (fun sr_otype sr_segno sr_wordno ->
+         { Cap.Capability.sr_otype; sr_segno; sr_wordno })
+    |+ (int, fun (s : Cap.Capability.sealed_return) -> s.sr_otype)
+    |+ (int, fun s -> s.sr_segno)
+    |+ (int, fun s -> s.sr_wordno))
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* {1 Capture} *)
+let refill tbl bindings =
+  Hashtbl.reset tbl;
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) bindings
 
-let write_counters b (c : Trace.Counters.t) =
-  w_list (w_pair w_str w_int) b
-    (Trace.Counters.fields (Trace.Counters.snapshot c))
+(* {1 Sections}
 
-(* The machine section is written in three pieces so the incremental
-   delta codec can reuse the exact writers around a different memory
-   encoding: [pre] (configuration + live processor state), the sparse
-   memory image, and [post] (SDW tag population + injector).  A full
-   image is always pre ++ memory ++ post — [flatten] leans on that. *)
-let write_machine_pre b (m : Isa.Machine.t) =
-  (* Immutable configuration, serialized so restore can shape-check
-     that the respawned machine was built the same way. *)
-  w_int b
-    (match m.Isa.Machine.mode with
-    | Isa.Machine.Ring_hardware -> 0
-    | Isa.Machine.Ring_software_645 -> 1
-    | Isa.Machine.Ring_capability -> 2);
-  w_int b
-    (match m.Isa.Machine.stack_rule with
-    | Rings.Stack_rule.Segno_equals_ring -> 0
-    | Rings.Stack_rule.Dbr_stack_relative -> 1);
-  w_bool b m.Isa.Machine.gate_on_same_ring;
-  w_bool b m.Isa.Machine.use_r1_in_indirection;
-  (* Live processor state. *)
-  w_regs b m.Isa.Machine.regs;
-  w_bool b m.Isa.Machine.halted;
-  w_opt
-    (fun b (s : Isa.Machine.saved_state) ->
-      w_regs b s.Isa.Machine.regs;
-      w_fault b s.Isa.Machine.fault)
-    b m.Isa.Machine.saved;
-  w_opt w_int b (Isa.Machine.timer m);
-  w_opt w_int b (Isa.Machine.io_countdown m);
-  w_opt w_io_request b m.Isa.Machine.io_request;
-  w_bool b m.Isa.Machine.inhibit;
-  w_opt
-    (fun b (t : Isa.Machine.trap_config) ->
-      w_addr b t.Isa.Machine.vector_base;
-      w_addr b t.Isa.Machine.conditions_base)
-    b m.Isa.Machine.trap_config;
-  w_bool b m.Isa.Machine.degraded;
-  w_bool b m.Isa.Machine.io_fail_pending
+   A full payload is counters | machine pre | memory | machine post |
+   trace | system.  The machine section is split around the memory so
+   the incremental delta codec can reuse the exact codecs around a
+   different memory encoding; a full image is always pre ++ memory ++
+   post, which [flatten] leans on. *)
 
+let counters =
+  map (list (pair string int))
+    (fun l ->
+      match Trace.Counters.of_fields l with Ok s -> s | Error msg -> corrupt msg)
+    Trace.Counters.fields
+
+(* Configuration, serialized so restore can shape-check that the
+   respawned machine was built the same way, then live processor
+   state. *)
+let machine_pre : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
+  seal
+    (record
+       (fun
+         mode
+         stack_rule
+         gate_on_same_ring
+         use_r1
+         regs
+         halted
+         saved
+         timer
+         io_countdown
+         io_request
+         inhibit
+         trap_config
+         degraded
+         io_fail_pending
+         (m : Isa.Machine.t)
+       ->
+         if mode <> m.mode then shape "machine mode differs";
+         if stack_rule <> m.stack_rule then shape "stack rule differs";
+         if gate_on_same_ring <> m.gate_on_same_ring then
+           shape "gate-on-same-ring ablation differs";
+         if use_r1 <> m.use_r1_in_indirection then
+           shape "R1-in-indirection ablation differs";
+         Hw.Registers.restore m.regs ~from:regs;
+         m.halted <- halted;
+         m.saved <- saved;
+         Isa.Machine.set_timer m timer;
+         Isa.Machine.set_io_countdown m io_countdown;
+         m.io_request <- io_request;
+         m.inhibit <- inhibit;
+         m.trap_config <- trap_config;
+         m.degraded <- degraded;
+         m.io_fail_pending <- io_fail_pending)
+    |+ ( Isa.Machine.(enum "machine mode" [ Ring_hardware; Ring_software_645; Ring_capability ]),
+         fun (m : Isa.Machine.t) -> m.mode )
+    |+ ( Rings.Stack_rule.(enum "stack rule" [ Segno_equals_ring; Dbr_stack_relative ]),
+         fun m -> m.stack_rule )
+    |+ (bool, fun m -> m.gate_on_same_ring)
+    |+ (bool, fun m -> m.use_r1_in_indirection)
+    |+ (regs, fun m -> m.regs)
+    |+ (bool, fun m -> m.halted)
+    |+ ( option
+           (seal
+              (record (fun regs fault -> { Isa.Machine.regs; fault })
+              |+ (regs, fun (s : Isa.Machine.saved_state) -> s.regs)
+              |+ (fault, fun s -> s.fault))),
+         fun m -> m.saved )
+    |+ (option int, Isa.Machine.timer)
+    |+ (option int, Isa.Machine.io_countdown)
+    |+ (option io_request, fun m -> m.io_request)
+    |+ (bool, fun m -> m.inhibit)
+    |+ ( option
+           (seal
+              (record (fun vector_base conditions_base ->
+                   { Isa.Machine.vector_base; conditions_base })
+              |+ (addr, fun (t : Isa.Machine.trap_config) -> t.vector_base)
+              |+ (addr, fun t -> t.conditions_base))),
+         fun m -> m.trap_config )
+    |+ (bool, fun m -> m.degraded)
+    |+ (bool, fun m -> m.io_fail_pending))
+
+(* Memory, sparsely: (address, word) pairs ascending.  A page never
+   written holds only zeros (the stamp-0 invariant of {!Hw.Memory}), so
+   it is skipped unread.  Memory is the one section streamed rather
+   than decoded whole: it is applied pair by pair as it is read. *)
 let write_memory b (mem : Hw.Memory.t) =
-  (* Memory, sparsely: (address, word) pairs ascending.  A page never
-     written holds only zeros (the stamp-0 invariant of {!Hw.Memory}),
-     so it is skipped unread. *)
   let size = Hw.Memory.size mem in
-  w_int b size;
+  int.write b size;
   let words = Buffer.create 65536 in
   let count = ref 0 in
   for p = 0 to Hw.Memory.pages mem - 1 do
@@ -777,146 +865,255 @@ let write_memory b (mem : Hw.Memory.t) =
         let w = Hw.Memory.read_silent mem a in
         if w <> 0 then begin
           incr count;
-          w_int words a;
-          w_int words w
+          int.write words a;
+          int.write words w
         end
       done
     end
   done;
-  w_int b !count;
+  int.write b !count;
   Buffer.add_buffer b words
 
-let write_machine_post b (m : Isa.Machine.t) =
-  (* The modeled SDW tag-store population — keys only: quiesce demoted
-     every value to the absent sentinel before we got here, and the
-     population is what drives modeled accounting. *)
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) m.Isa.Machine.sdw_tags [] in
-  w_list w_int b (List.sort compare keys);
-  (* Fault injector: RNG, armed-rule positions, poison table.  The
-     address ranges themselves are re-registered by the respawn. *)
-  w_opt w_inject_dump b
-    (Option.map Hw.Inject.dump m.Isa.Machine.injector);
-  (* Capability-backend state: the validity-tag population (addresses
-     only — a tag is one bit) and the sealed-return stack.  Both are
-     empty in the other modes, so their cost there is two zero
-     counts. *)
-  w_bool b (Hw.Memory.tags_enabled m.Isa.Machine.mem);
-  w_list w_int b (Hw.Memory.tagged_addrs m.Isa.Machine.mem);
-  w_list
-    (fun b (sr : Cap.Capability.sealed_return) ->
-      w_int b sr.Cap.Capability.sr_otype;
-      w_int b sr.Cap.Capability.sr_segno;
-      w_int b sr.Cap.Capability.sr_wordno)
-    b m.Isa.Machine.cap_stack
-
-let write_machine b (m : Isa.Machine.t) =
-  write_machine_pre b m;
-  write_memory b m.Isa.Machine.mem;
-  write_machine_post b m
-
-let write_trace b (m : Isa.Machine.t) =
-  w_bool b (Trace.Event.enabled m.Isa.Machine.log);
-  let d = Trace.Event.dump m.Isa.Machine.log in
-  w_list w_stamped b d.Trace.Event.d_entries;
-  w_int b d.Trace.Event.d_next_seq;
-  w_int b d.Trace.Event.d_dropped;
-  w_int b d.Trace.Event.d_sampled_out;
-  w_int b d.Trace.Event.d_high_water;
-  w_int b d.Trace.Event.d_sample_interval;
-  w_int b d.Trace.Event.d_sample_seed;
-  w_int b d.Trace.Event.d_instr_interval;
-  w_bool b (Trace.Span.enabled m.Isa.Machine.spans);
-  let d = Trace.Span.dump m.Isa.Machine.spans in
-  w_list w_open_span b d.Trace.Span.dump_stack;
-  w_int b d.Trace.Span.dump_next_seq;
-  w_list w_completed b d.Trace.Span.dump_completed;
-  w_int b d.Trace.Span.dump_dropped;
-  w_int b d.Trace.Span.dump_unmatched;
-  w_int b d.Trace.Span.dump_sampled_out;
-  w_int b d.Trace.Span.dump_sample_interval;
-  w_int b d.Trace.Span.dump_sample_seed;
-  w_int b (Array.length d.Trace.Span.dump_hists);
-  Array.iter (w_hist b) d.Trace.Span.dump_hists;
-  w_bool b (Trace.Profile.enabled m.Isa.Machine.profile);
-  let ring_cycles, ring_instructions, segments, kernel_cycles =
-    Trace.Profile.dump m.Isa.Machine.profile
+(* Write the image's pairs, zero every other word.  Words are only
+   touched when they differ, so the common case is mostly reads.
+   [since] is an epoch at which memory is known to have held this very
+   image (0 when none is known): a page not written after it still
+   holds the image's words, zeros included, so only the pages written
+   since are swept for stale words.  With [since = 0] that is every
+   page ever written, which the stamp-0 invariant makes exact.  With
+   [mark], memory is marked as holding that image once the section has
+   been applied, so the next rewind to it sweeps only what changed. *)
+let apply_memory r mem ~since ~mark =
+  let size = Hw.Memory.size mem in
+  if int.read r <> size then shape "memory size differs";
+  let count = int.read r in
+  if count < 0 then corrupt "negative memory pair count";
+  let set a w =
+    if Hw.Memory.read_silent mem a <> w then Hw.Memory.write_silent mem a w
   in
-  w_int_array b ring_cycles;
-  w_int_array b ring_instructions;
-  w_list
-    (fun b (segno, cycles, instructions) ->
-      w_int b segno;
-      w_int b cycles;
-      w_int b instructions)
-    b segments;
-  w_int b kernel_cycles
+  let pw = Hw.Memory.page_words in
+  let zero lo hi =
+    if lo < hi then
+      for p = lo / pw to (hi - 1) / pw do
+        if Hw.Memory.written_since mem ~epoch:since p then
+          for z = max lo (p * pw) to min hi ((p + 1) * pw) - 1 do
+            set z 0
+          done
+      done
+  in
+  let prev = ref (-1) in
+  for _ = 1 to count do
+    let a = int.read r in
+    let w = int.read r in
+    if a <= !prev || a >= size then corrupt "memory pairs not ascending";
+    zero (!prev + 1) a;
+    set a w;
+    prev := a
+  done;
+  zero (!prev + 1) size;
+  Option.iter (Hw.Memory.set_mark mem) mark
 
-let write_process b (p : Process.t) =
-  w_str b p.Process.user;
-  w_int b (Array.length p.Process.descsegs);
-  Array.iter (w_dbr b) p.Process.descsegs;
-  w_list (w_pair w_int w_access) b (sorted_bindings p.Process.ring_data);
-  w_list (w_pair w_int w_placement) b (sorted_bindings p.Process.placement);
-  w_list w_loaded b p.Process.loaded;
-  w_int b p.Process.next_segno;
-  w_int b p.Process.next_free;
-  w_opt
-    (fun b (ps : Process.paging_state) ->
-      w_list w_int b ps.Process.free_frames;
-      w_list
-        (fun b (frame, segno, pageno) ->
-          w_int b frame;
-          w_int b segno;
-          w_int b pageno)
-        b ps.Process.resident;
-      w_list (w_pair w_int w_int_array) b (sorted_bindings ps.Process.backing))
-    b p.Process.paging;
-  w_list w_crossing b p.Process.crossings;
-  w_int b p.Process.fault_count;
-  w_int b p.Process.io_attempts;
-  (* A directory search path holds live closures and is not
-     snapshottable; record its presence so restore can refuse. *)
-  w_bool b (p.Process.search_rules <> None);
-  let input, output, next_seq = Device.dump p.Process.typewriter in
-  w_list w_int b input;
-  w_list w_int b output;
-  w_int b next_seq
+(* The modeled SDW tag-store population (keys only: quiesce demoted
+   every value to the absent sentinel, and the population is what drives
+   modeled accounting), the fault injector's RNG, armed-rule positions
+   and poison table (the address ranges are re-registered by the
+   respawn), and the capability backend's validity tags (addresses
+   only; a tag is one bit) and sealed-return stack, both empty in the
+   other modes.  Applied after memory: restoring a word goes through
+   [write_silent], which clears its tag.  Tags are outside the write
+   stamps, so the tag store is always rewound whole, even when the
+   memory rewind swept only the pages written since a mark. *)
+let machine_post : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
+  seal
+    (record (fun sdw_keys injector tags_enabled tagged cap_stack (m : Isa.Machine.t) ->
+         Hashtbl.reset m.sdw_tags;
+         List.iter (fun k -> Hashtbl.replace m.sdw_tags k Hw.Sdw.absent) sdw_keys;
+         (match (injector, m.injector) with
+         | None, None -> ()
+         | Some d, Some i -> (
+             try Hw.Inject.restore i d with Invalid_argument msg -> shape msg)
+         | Some _, None -> shape "image has a fault injector, this run does not"
+         | None, Some _ -> shape "this run has a fault injector, the image does not");
+         let mem = m.mem in
+         if tags_enabled <> Hw.Memory.tags_enabled mem then
+           shape "capability tag store presence differs";
+         if tags_enabled then begin
+           Hw.Memory.clear_tags mem;
+           List.iter
+             (fun a ->
+               if a < 0 || a >= Hw.Memory.size mem then
+                 corrupt "tag address out of range";
+               Hw.Memory.set_tag mem a)
+             tagged
+         end
+         else if tagged <> [] then corrupt "tagged words without a tag store";
+         m.cap_stack <- cap_stack)
+    |+ ( list int,
+         fun (m : Isa.Machine.t) ->
+           List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) m.sdw_tags []) )
+    |+ (option inject_dump, fun m -> Option.map Hw.Inject.dump m.injector)
+    |+ (bool, fun m -> Hw.Memory.tags_enabled m.mem)
+    |+ (list int, fun m -> Hw.Memory.tagged_addrs m.mem)
+    |+ (list sealed_return, fun m -> m.cap_stack))
 
-let write_entry b (e : System.entry) =
-  w_str b e.System.pname;
-  (match e.System.status with
-  | System.Ready -> w_int b 0
-  | System.Blocked -> w_int b 1
-  | System.Done exit ->
-      w_int b 2;
-      w_exit b exit);
-  w_regs b e.System.saved_regs;
-  let countdown, request = e.System.saved_io in
-  w_opt w_int b countdown;
-  w_opt w_io_request b request;
-  w_int b e.System.stalled;
-  write_process b e.System.process
+(* The event log, spans and profile: each its enable flag and its dump. *)
+let trace : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
+  let restoring f = try f () with Invalid_argument msg -> corrupt msg in
+  seal
+    (record (fun log_on log spans_on spans profile_on profile (m : Isa.Machine.t) ->
+         Trace.Event.set_enabled m.log log_on;
+         restoring (fun () -> Trace.Event.restore m.log log);
+         Trace.Span.set_enabled m.spans spans_on;
+         restoring (fun () -> Trace.Span.restore m.spans spans);
+         Trace.Profile.set_enabled m.profile profile_on;
+         restoring (fun () -> Trace.Profile.restore m.profile profile))
+    |+ (bool, fun (m : Isa.Machine.t) -> Trace.Event.enabled m.log)
+    |+ (event_dump, fun m -> Trace.Event.dump m.log)
+    |+ (bool, fun m -> Trace.Span.enabled m.spans)
+    |+ (span_dump, fun m -> Trace.Span.dump m.spans)
+    |+ (bool, fun m -> Trace.Profile.enabled m.profile)
+    |+ (profile_dump, fun m -> Trace.Profile.dump m.profile))
 
-let write_system b sys =
-  w_int b (System.slices sys);
-  w_list (w_pair w_str w_exit) b (System.finished_log sys);
-  w_list w_str b (System.rotation sys);
-  w_list write_entry b (System.entries sys)
+let paging : (Process.paging_state, Process.paging_state -> unit) codec =
+  seal
+    (record (fun free_frames resident backing (ps : Process.paging_state) ->
+         ps.free_frames <- free_frames;
+         ps.resident <- resident;
+         refill ps.backing backing)
+    |+ (list int, fun (ps : Process.paging_state) -> ps.free_frames)
+    |+ (list (triple int int int), fun ps -> ps.resident)
+    |+ (list (pair int int_array), fun ps -> sorted_bindings ps.backing))
+
+let process : (Process.t, Process.t -> unit) codec =
+  seal
+    (record
+       (fun
+         user
+         descsegs
+         ring_data
+         placement
+         loaded
+         next_segno
+         next_free
+         paging
+         crossings
+         fault_count
+         io_attempts
+         search_rules
+         typewriter
+         (p : Process.t)
+       ->
+         if not (String.equal user p.user) then shape "process user differs";
+         if Array.length descsegs <> Array.length p.descsegs then
+           shape "descriptor-segment count differs";
+         Array.iteri
+           (fun i d ->
+             if d <> p.descsegs.(i) then
+               shape (Printf.sprintf "descriptor segment %d differs" i))
+           descsegs;
+         refill p.ring_data ring_data;
+         refill p.placement placement;
+         p.loaded <- loaded;
+         p.next_segno <- next_segno;
+         p.next_free <- next_free;
+         (match (paging, p.paging) with
+         | None, None -> ()
+         | Some apply, Some ps -> apply ps
+         | Some _, None -> shape "image process is demand-paged, this one is not"
+         | None, Some _ -> shape "this process is demand-paged, the image's is not");
+         p.crossings <- crossings;
+         p.fault_count <- fault_count;
+         p.io_attempts <- io_attempts;
+         (* A directory search path holds live closures and is not
+            snapshottable; the image records its presence so restore
+            can refuse. *)
+         if search_rules then corrupt "directory search rules are not snapshottable";
+         Device.restore p.typewriter typewriter)
+    |+ (string, fun (p : Process.t) -> p.user)
+    |+ (array dbr, fun p -> p.descsegs)
+    |+ (list (pair int access), fun p -> sorted_bindings p.ring_data)
+    |+ (list (pair int placement), fun p -> sorted_bindings p.placement)
+    |+ (list loaded, fun p -> p.loaded)
+    |+ (int, fun p -> p.next_segno)
+    |+ (int, fun p -> p.next_free)
+    |+ (option paging, fun p -> p.paging)
+    |+ (list crossing, fun p -> p.crossings)
+    |+ (int, fun p -> p.fault_count)
+    |+ (int, fun p -> p.io_attempts)
+    |+ (bool, fun p -> p.search_rules <> None)
+    |+ (triple (list int) (list int) int, fun p -> Device.dump p.typewriter))
+
+let status : System.status t =
+  cases "status"
+    [
+      const System.Ready;
+      const System.Blocked;
+      case exit
+        (fun e -> System.Done e)
+        (function System.Done e -> Some e | _ -> None);
+    ]
+
+let entry : (System.entry, System.entry -> unit) codec =
+  seal
+    (record
+       (fun pname status saved_regs saved_io stalled process (e : System.entry) ->
+         if not (String.equal pname e.pname) then shape "process names differ";
+         e.status <- status;
+         e.saved_regs <- saved_regs;
+         e.saved_io <- saved_io;
+         e.stalled <- stalled;
+         process e.process)
+    |+ (string, fun (e : System.entry) -> e.pname)
+    |+ (status, fun e -> e.status)
+    |+ (regs, fun e -> e.saved_regs)
+    |+ (pair (option int) (option io_request), fun e -> e.saved_io)
+    |+ (int, fun e -> e.stalled)
+    |+ (process, fun e -> e.process))
+
+let system : (System.t, System.t -> unit) codec =
+  seal
+    (record (fun slices finished_log rotation entries sys ->
+         System.set_slices sys slices;
+         System.set_finished_log sys finished_log;
+         let live = System.entries sys in
+         let known pname =
+           List.exists (fun (e : System.entry) -> String.equal e.pname pname) live
+         in
+         List.iter
+           (fun pname ->
+             if not (known pname) then
+               shape (Printf.sprintf "rotation names unknown process %s" pname))
+           rotation;
+         System.set_rotation sys rotation;
+         if List.length entries <> List.length live then
+           shape "process count differs";
+         List.iter2 (fun apply e -> apply e) entries live)
+    |+ (int, System.slices)
+    |+ (list (pair string exit), System.finished_log)
+    |+ (list string, System.rotation)
+    |+ (list entry, System.entries))
+
+let seal_image_sum ~magic:m ~sum payload =
+  let hdr = Buffer.create header_len in
+  Buffer.add_string hdr m;
+  int.write hdr version;
+  int.write hdr (String.length payload);
+  int.write hdr sum;
+  Buffer.contents hdr ^ payload
+
+let seal_image ~magic:m payload =
+  seal_image_sum ~magic:m ~sum:(checksum payload) payload
 
 let encode sys =
   let b = Buffer.create (1 lsl 16) in
   let m = System.machine sys in
-  write_counters b m.Isa.Machine.counters;
-  write_machine b m;
-  write_trace b m;
-  write_system b sys;
-  let payload = Buffer.contents b in
-  let hdr = Buffer.create header_len in
-  Buffer.add_string hdr magic;
-  w_int hdr version;
-  w_int hdr (String.length payload);
-  w_int hdr (checksum payload);
-  Buffer.contents hdr ^ payload
+  counters.write b (Trace.Counters.snapshot m.counters);
+  machine_pre.write b m;
+  write_memory b m.mem;
+  machine_post.write b m;
+  trace.write b m;
+  system.write b sys;
+  seal_image ~magic (Buffer.contents b)
 
 (* The count is bumped {e before} serializing, so the image already
    carries its own capture: an uninterrupted checkpointing run and a
@@ -949,280 +1146,17 @@ let capture_silent sys =
 
 (* {1 Restore} *)
 
-let apply_counters r (c : Trace.Counters.t) =
-  let fields = r_list (r_pair r_str r_int) r in
-  match Trace.Counters.of_fields fields with
-  | Ok snap -> Trace.Counters.restore c snap
-  | Error msg -> corrupt msg
-
-(* Memory: write the image's pairs, zero every other word.  Words are
-   only touched when they differ, so the common case is mostly reads.
-   [since] is an epoch at which memory is known to have held this very
-   image (0 when none is known): a page not written after it still
-   holds the image's words, zeros included, so only the pages written
-   since are swept for stale words.  With [since = 0] that is every
-   page ever written, which the stamp-0 invariant makes exact.  With
-   [mark], memory is marked as holding that image once the section has
-   been applied, so the next rewind to it sweeps only what changed. *)
-let apply_memory r mem ~since ~mark =
-  let size = Hw.Memory.size mem in
-  if r_int r <> size then shape "memory size differs";
-  let count = r_int r in
-  if count < 0 then corrupt "negative memory pair count";
-  let set a w =
-    if Hw.Memory.read_silent mem a <> w then Hw.Memory.write_silent mem a w
-  in
-  let pw = Hw.Memory.page_words in
-  let zero lo hi =
-    if lo < hi then
-      for p = lo / pw to (hi - 1) / pw do
-        if Hw.Memory.written_since mem ~epoch:since p then
-          for z = max lo (p * pw) to min hi ((p + 1) * pw) - 1 do
-            set z 0
-          done
-      done
-  in
-  let prev = ref (-1) in
-  for _ = 1 to count do
-    let a = r_int r in
-    let w = r_int r in
-    if a <= !prev || a >= size then corrupt "memory pairs not ascending";
-    zero (!prev + 1) a;
-    set a w;
-    prev := a
-  done;
-  zero (!prev + 1) size;
-  Option.iter (Hw.Memory.set_mark mem) mark
-
-let apply_machine ?(since = 0) ?mark r (m : Isa.Machine.t) =
-  let mode_tag =
-    match m.Isa.Machine.mode with
-    | Isa.Machine.Ring_hardware -> 0
-    | Isa.Machine.Ring_software_645 -> 1
-    | Isa.Machine.Ring_capability -> 2
-  in
-  if r_int r <> mode_tag then shape "machine mode differs";
-  let rule_tag =
-    match m.Isa.Machine.stack_rule with
-    | Rings.Stack_rule.Segno_equals_ring -> 0
-    | Rings.Stack_rule.Dbr_stack_relative -> 1
-  in
-  if r_int r <> rule_tag then shape "stack rule differs";
-  if r_bool r <> m.Isa.Machine.gate_on_same_ring then
-    shape "gate-on-same-ring ablation differs";
-  if r_bool r <> m.Isa.Machine.use_r1_in_indirection then
-    shape "R1-in-indirection ablation differs";
-  Hw.Registers.restore m.Isa.Machine.regs ~from:(r_regs r);
-  m.Isa.Machine.halted <- r_bool r;
-  m.Isa.Machine.saved <-
-    r_opt
-      (fun r ->
-        let regs = r_regs r in
-        let fault = r_fault r in
-        { Isa.Machine.regs; fault })
-      r;
-  Isa.Machine.set_timer m (r_opt r_int r);
-  Isa.Machine.set_io_countdown m (r_opt r_int r);
-  m.Isa.Machine.io_request <- r_opt r_io_request r;
-  m.Isa.Machine.inhibit <- r_bool r;
-  m.Isa.Machine.trap_config <-
-    r_opt
-      (fun r ->
-        let vector_base = r_addr r in
-        let conditions_base = r_addr r in
-        { Isa.Machine.vector_base; conditions_base })
-      r;
-  m.Isa.Machine.degraded <- r_bool r;
-  m.Isa.Machine.io_fail_pending <- r_bool r;
-  let mem = m.Isa.Machine.mem in
-  let size = Hw.Memory.size mem in
-  apply_memory r mem ~since ~mark;
-  (* SDW tag-store population: every key present, every value absent —
-     exactly the state [quiesce] leaves behind. *)
-  let keys = r_list r_int r in
-  Hashtbl.reset m.Isa.Machine.sdw_tags;
-  List.iter
-    (fun k -> Hashtbl.replace m.Isa.Machine.sdw_tags k Hw.Sdw.absent)
-    keys;
-  (match (r_opt r_inject_dump r, m.Isa.Machine.injector) with
-  | None, None -> ()
-  | Some d, Some i -> (
-      try Hw.Inject.restore i d
-      with Invalid_argument msg -> shape msg)
-  | Some _, None -> shape "image has a fault injector, this run does not"
-  | None, Some _ -> shape "this run has a fault injector, the image does not");
-  (* Capability state.  The tag re-application must come after the
-     memory loop above: restoring a word goes through [write_silent],
-     which clears its tag, so tags written earlier would be erased.
-     Tags are outside the write stamps ([set_tag]/[clear_tag] stamp no
-     page), so the tag store is always rewound whole, even when the
-     memory rewind above swept only the pages written since a mark. *)
-  if r_bool r <> Hw.Memory.tags_enabled mem then
-    shape "capability tag store presence differs";
-  let tagged = r_list r_int r in
-  if Hw.Memory.tags_enabled mem then begin
-    Hw.Memory.clear_tags mem;
-    List.iter
-      (fun a ->
-        if a < 0 || a >= size then corrupt "tag address out of range";
-        Hw.Memory.set_tag mem a)
-      tagged
-  end
-  else if tagged <> [] then corrupt "tagged words without a tag store";
-  m.Isa.Machine.cap_stack <-
-    r_list
-      (fun r ->
-        let sr_otype = r_int r in
-        let sr_segno = r_int r in
-        let sr_wordno = r_int r in
-        { Cap.Capability.sr_otype; sr_segno; sr_wordno })
-      r
-
-let apply_trace r (m : Isa.Machine.t) =
-  Trace.Event.set_enabled m.Isa.Machine.log (r_bool r);
-  let d_entries = r_list r_stamped r in
-  let d_next_seq = r_int r in
-  let d_dropped = r_int r in
-  let d_sampled_out = r_int r in
-  let d_high_water = r_int r in
-  let d_sample_interval = r_int r in
-  let d_sample_seed = r_int r in
-  let d_instr_interval = r_int r in
-  (try
-     Trace.Event.restore m.Isa.Machine.log
-       {
-         Trace.Event.d_entries;
-         d_next_seq;
-         d_dropped;
-         d_sampled_out;
-         d_high_water;
-         d_sample_interval;
-         d_sample_seed;
-         d_instr_interval;
-       }
-   with Invalid_argument msg -> corrupt msg);
-  Trace.Span.set_enabled m.Isa.Machine.spans (r_bool r);
-  let dump_stack = r_list r_open_span r in
-  let dump_next_seq = r_int r in
-  let dump_completed = r_list r_completed r in
-  let dump_dropped = r_int r in
-  let dump_unmatched = r_int r in
-  let dump_sampled_out = r_int r in
-  let dump_sample_interval = r_int r in
-  let dump_sample_seed = r_int r in
-  let nhists = r_int r in
-  if nhists < 0 then corrupt "negative histogram count";
-  let dump_hists = Array.make (max nhists 1) ([||], 0, 0, 0, 0) in
-  for i = 0 to nhists - 1 do
-    dump_hists.(i) <- r_hist r
-  done;
-  let dump_hists = Array.sub dump_hists 0 nhists in
-  (try
-     Trace.Span.restore m.Isa.Machine.spans
-       {
-         Trace.Span.dump_stack;
-         dump_next_seq;
-         dump_completed;
-         dump_dropped;
-         dump_unmatched;
-         dump_sampled_out;
-         dump_sample_interval;
-         dump_sample_seed;
-         dump_hists;
-       }
-   with Invalid_argument msg -> corrupt msg);
-  Trace.Profile.set_enabled m.Isa.Machine.profile (r_bool r);
-  let ring_cycles = r_int_array r in
-  let ring_instructions = r_int_array r in
-  let segments =
-    r_list
-      (fun r ->
-        let segno = r_int r in
-        let cycles = r_int r in
-        let instructions = r_int r in
-        (segno, cycles, instructions))
-      r
-  in
-  let kernel_cycles = r_int r in
-  try
-    Trace.Profile.restore m.Isa.Machine.profile
-      (ring_cycles, ring_instructions, segments, kernel_cycles)
-  with Invalid_argument msg -> corrupt msg
-
-let apply_process r (p : Process.t) =
-  if not (String.equal (r_str r) p.Process.user) then shape "process user differs";
-  let ndbr = r_int r in
-  if ndbr <> Array.length p.Process.descsegs then
-    shape "descriptor-segment count differs";
-  for i = 0 to ndbr - 1 do
-    if r_dbr r <> p.Process.descsegs.(i) then
-      shape (Printf.sprintf "descriptor segment %d differs" i)
-  done;
-  let ring_data = r_list (r_pair r_int r_access) r in
-  Hashtbl.reset p.Process.ring_data;
-  List.iter (fun (k, v) -> Hashtbl.replace p.Process.ring_data k v) ring_data;
-  let placement = r_list (r_pair r_int r_placement) r in
-  Hashtbl.reset p.Process.placement;
-  List.iter (fun (k, v) -> Hashtbl.replace p.Process.placement k v) placement;
-  p.Process.loaded <- r_list r_loaded r;
-  p.Process.next_segno <- r_int r;
-  p.Process.next_free <- r_int r;
-  (match (r_opt (fun r -> r) r, p.Process.paging) with
-  | None, None -> ()
-  | Some r, Some ps ->
-      ps.Process.free_frames <- r_list r_int r;
-      ps.Process.resident <-
-        r_list
-          (fun r ->
-            let frame = r_int r in
-            let segno = r_int r in
-            let pageno = r_int r in
-            (frame, segno, pageno))
-          r;
-      let backing = r_list (r_pair r_int r_int_array) r in
-      Hashtbl.reset ps.Process.backing;
-      List.iter
-        (fun (segno, contents) ->
-          Hashtbl.replace ps.Process.backing segno contents)
-        backing
-  | Some _, None -> shape "image process is demand-paged, this one is not"
-  | None, Some _ -> shape "this process is demand-paged, the image's is not");
-  p.Process.crossings <- r_list r_crossing r;
-  p.Process.fault_count <- r_int r;
-  p.Process.io_attempts <- r_int r;
-  if r_bool r then corrupt "directory search rules are not snapshottable";
-  let input = r_list r_int r in
-  let output = r_list r_int r in
-  let next_seq = r_int r in
-  Device.restore p.Process.typewriter (input, output, next_seq)
-
-let apply_entry r (e : System.entry) =
-  if not (String.equal (r_str r) e.System.pname) then
-    shape "process names differ";
-  e.System.status <-
-    (match r_int r with
-    | 0 -> System.Ready
-    | 1 -> System.Blocked
-    | 2 -> System.Done (r_exit r)
-    | n -> corrupt (Printf.sprintf "bad status tag %d" n));
-  e.System.saved_regs <- r_regs r;
-  let countdown = r_opt r_int r in
-  let request = r_opt r_io_request r in
-  e.System.saved_io <- (countdown, request);
-  e.System.stalled <- r_int r;
-  apply_process r e.System.process
-
-let apply_system r sys =
-  System.set_slices sys (r_int r);
-  System.set_finished_log sys (r_list (r_pair r_str r_exit) r);
-  let rotation = r_list r_str r in
-  let known pname = List.exists (fun (e : System.entry) -> String.equal e.System.pname pname) (System.entries sys) in
-  List.iter (fun pname -> if not (known pname) then shape (Printf.sprintf "rotation names unknown process %s" pname)) rotation;
-  System.set_rotation sys rotation;
-  let n = r_int r in
-  let entries = System.entries sys in
-  if n <> List.length entries then shape "process count differs";
-  List.iter (apply_entry r) entries
+(* Apply a full payload to the live system, section by section; memory
+   is rewound as {!apply_memory} describes. *)
+let apply ?(since = 0) ?mark r sys =
+  let m = System.machine sys in
+  Trace.Counters.restore m.counters (counters.read r);
+  machine_pre.read r m;
+  apply_memory r m.mem ~since ~mark;
+  machine_post.read r m;
+  trace.read r m;
+  system.read r sys;
+  if r.pos <> String.length r.data then corrupt "unconsumed payload"
 
 (* Validate a sealed image's header — magic [m], version, length —
    and its payload checksum, and return a reader at the payload.  Full
@@ -1233,10 +1167,10 @@ let parse_sealed m image =
     raise (Fail Bad_magic);
   if String.length image < header_len then raise (Fail Truncated);
   let hr = { data = image; pos = String.length m } in
-  let v = r_int hr in
+  let v = int.read hr in
   if v <> version then raise (Fail (Bad_version { expected = version; got = v }));
-  let len = r_int hr in
-  let sum = r_int hr in
+  let len = int.read hr in
+  let sum = int.read hr in
   if len < 0 then corrupt "negative payload length";
   if String.length image - header_len < len then raise (Fail Truncated);
   if String.length image - header_len > len then
@@ -1274,11 +1208,7 @@ let rewind sys image =
     let since = Hw.Memory.mark_epoch mem image in
     let start = Hw.Memory.epoch mem in
     Isa.Machine.quiesce m;
-    apply_counters r m.Isa.Machine.counters;
-    apply_machine ~since ~mark:image r m;
-    apply_trace r m;
-    apply_system r sys;
-    if r.pos <> String.length r.data then corrupt "unconsumed payload";
+    apply ~since ~mark:image r sys;
     Ok (List.length (Hw.Memory.pages_since mem ~epoch:start))
   with
   | Fail e -> Error e
@@ -1295,11 +1225,7 @@ let restore sys image =
          apply below rebuilds the exact quiesced state the image was
          captured in. *)
       Isa.Machine.quiesce m;
-      apply_counters r m.Isa.Machine.counters;
-      apply_machine r m;
-      apply_trace r m;
-      apply_system r sys;
-      if r.pos <> String.length r.data then corrupt "unconsumed payload";
+      apply r sys;
       Ok ()
     with
     | Fail e -> Error e
@@ -1319,8 +1245,13 @@ let restore sys image =
         (* Audit: re-derive every SDW from the kernel's authoritative
            tables and walk the crossing stacks — the same invariants
            the chaos harness checks after fault campaigns.  A
-           tampered-but-well-checksummed image fails here. *)
-        match Chaos.check_invariants ~campaign:0 sys with
+           tampered-but-well-checksummed image fails here, and so does
+           one whose tables cannot even be turned into an SDW. *)
+        let problems =
+          try Chaos.check_invariants ~campaign:0 sys
+          with Invalid_argument msg -> [ msg ]
+        in
+        match problems with
         | [] -> Ok ()
         | problems ->
             Trace.Counters.bump m.Isa.Machine.counters
@@ -1369,17 +1300,6 @@ type chain = {
   mutable deltas_taken : int;
 }
 
-let seal_image_sum ~magic:m ~sum payload =
-  let hdr = Buffer.create header_len in
-  Buffer.add_string hdr m;
-  w_int hdr version;
-  w_int hdr (String.length payload);
-  w_int hdr sum;
-  Buffer.contents hdr ^ payload
-
-let seal_image ~magic:m payload =
-  seal_image_sum ~magic:m ~sum:(checksum payload) payload
-
 let start_chain sys =
   let m = System.machine sys in
   let mem = m.Isa.Machine.mem in
@@ -1404,38 +1324,38 @@ let capture_delta sys chain =
         invalid_arg "Snapshot.capture_delta: memory size changed";
       Isa.Machine.quiesce m;
       let b = Buffer.create 4096 in
-      w_int b chain.tail_sum;
+      int.write b chain.tail_sum;
       let pre = Buffer.create 4096 in
-      write_counters pre m.Isa.Machine.counters;
-      write_machine_pre pre m;
-      w_str b (Buffer.contents pre);
+      counters.write pre (Trace.Counters.snapshot m.counters);
+      machine_pre.write pre m;
+      string.write b (Buffer.contents pre);
       let size = Hw.Memory.size mem in
-      w_int b size;
+      int.write b size;
       let pages = Hw.Memory.pages_since mem ~epoch:chain.since in
-      w_int b (List.length pages);
+      int.write b (List.length pages);
       let pairs = Buffer.create 4096 in
       List.iter
         (fun p ->
           let base_addr = p * Hw.Memory.page_words in
           let len = min Hw.Memory.page_words (size - base_addr) in
-          w_int b p;
-          w_int b len;
+          int.write b p;
+          int.write b len;
           Buffer.clear pairs;
           let nnz = ref 0 in
           for i = 0 to len - 1 do
             let w = Hw.Memory.read_silent mem (base_addr + i) in
             if w <> 0 then begin
               incr nnz;
-              w_int pairs i;
-              w_int pairs w
+              int.write pairs i;
+              int.write pairs w
             end
           done;
-          w_int b !nnz;
+          int.write b !nnz;
           Buffer.add_buffer b pairs)
         pages;
-      write_machine_post b m;
-      write_trace b m;
-      write_system b sys;
+      machine_post.write b m;
+      trace.write b m;
+      system.write b sys;
       let payload = Buffer.contents b in
       let sum = checksum payload in
       let image = seal_image_sum ~magic:delta_magic ~sum payload in
@@ -1445,45 +1365,12 @@ let capture_delta sys chain =
       chain.deltas_taken <- chain.deltas_taken + 1;
       image)
 
-(* Skip readers: consume exactly the bytes the corresponding writers
-   produced, so [flatten] can locate the memory section inside a full
-   payload without a live system to apply it to. *)
-let skip_counters r = ignore (r_list (r_pair r_str r_int) r)
-
-let skip_machine_pre r =
-  ignore (r_int r);
-  ignore (r_int r);
-  ignore (r_bool r);
-  ignore (r_bool r);
-  ignore (r_regs r);
-  ignore (r_bool r);
-  ignore
-    (r_opt
-       (fun r ->
-         let (_ : Hw.Registers.t) = r_regs r in
-         let (_ : Rings.Fault.t) = r_fault r in
-         ())
-       r);
-  ignore (r_opt r_int r);
-  ignore (r_opt r_int r);
-  ignore (r_opt r_io_request r);
-  ignore (r_bool r);
-  ignore
-    (r_opt
-       (fun r ->
-         let (_ : Hw.Addr.t) = r_addr r in
-         let (_ : Hw.Addr.t) = r_addr r in
-         ())
-       r);
-  ignore (r_bool r);
-  ignore (r_bool r)
-
 (* Position a reader just past a full payload's pre section, at the
    memory section, and return the memory size. *)
 let memory_size r =
-  skip_counters r;
-  skip_machine_pre r;
-  let size = r_int r in
+  let (_ : Trace.Counters.snapshot) = counters.read r in
+  let (_ : Isa.Machine.t -> unit) = machine_pre.read r in
+  let size = int.read r in
   if size < 0 then corrupt "negative memory size";
   size
 
@@ -1523,13 +1410,13 @@ let flatten ~base deltas =
     let pre =
       ref { src = base; off = header_len; len = r.pos - 8 - header_len }
     in
-    let count = r_int r in
+    let count = int.read r in
     if count < 0 then corrupt "negative memory pair count";
     let base_pairs = r.pos in
     let prev = ref (-1) in
     for _ = 1 to count do
-      let a = r_int r in
-      let (_ : int) = r_int r in
+      let a = int.read r in
+      let (_ : int) = int.read r in
       if a <= !prev || a >= size then corrupt "memory pairs not ascending";
       prev := a
     done;
@@ -1539,40 +1426,40 @@ let flatten ~base deltas =
     List.iteri
       (fun i delta ->
         let r = parse_sealed delta_magic delta in
-        let base_sum = r_int r in
+        let base_sum = int.read r in
         if base_sum <> !prev_sum then
           raise (Fail (if i = 0 then Stale_base else Broken_chain i));
-        let pre_len = r_int r in
+        let pre_len = int.read r in
         if pre_len < 0 then corrupt "negative string length";
         let pre_bytes = r_slice r pre_len in
-        let delta_size = r_int r in
+        let delta_size = int.read r in
         if delta_size <> size then
           raise
             (Fail
                (Shape_mismatch
                   (Printf.sprintf "delta %d memory size %d, base has %d" i
                      delta_size size)));
-        let npages = r_int r in
+        let npages = int.read r in
         if npages < 0 then corrupt "negative page count";
         let prev_page = ref (-1) in
         for _ = 1 to npages do
-          let p = r_int r in
-          let len = r_int r in
+          let p = int.read r in
+          let len = int.read r in
           let base_addr = p * Hw.Memory.page_words in
           if p <= !prev_page then corrupt "delta pages not ascending";
           if
             base_addr < 0 || base_addr >= size
             || len <> min Hw.Memory.page_words (size - base_addr)
           then corrupt "delta page out of range";
-          let nnz = r_int r in
+          let nnz = int.read r in
           if nnz < 0 || nnz > len then corrupt "delta page pair count";
           (* A sparse page is the page's whole contents: it replaces
              whatever the base or an older delta held there. *)
           Hashtbl.replace owned p { delta; at = r.pos; nnz };
           let prev_off = ref (-1) in
           for _ = 1 to nnz do
-            let off = r_int r in
-            let w = r_int r in
+            let off = int.read r in
+            let w = int.read r in
             if off <= !prev_off || off >= len then
               corrupt "delta page pairs not ascending";
             if w = 0 then corrupt "zero word in sparse delta page";
@@ -1593,8 +1480,8 @@ let flatten ~base deltas =
        folds to the same bytes; a zero word folds to nothing. *)
     let emit a w =
       if w <> 0 then begin
-        w_int pairs a;
-        w_int pairs w;
+        int.write pairs a;
+        int.write pairs w;
         incr emitted
       end
     in
@@ -1625,8 +1512,8 @@ let flatten ~base deltas =
     copy_base_below max_int;
     let b = Buffer.create (!pre.len + 16 + Buffer.length pairs + !post.len) in
     Buffer.add_substring b !pre.src !pre.off !pre.len;
-    w_int b size;
-    w_int b !emitted;
+    int.write b size;
+    int.write b !emitted;
     Buffer.add_buffer b pairs;
     Buffer.add_substring b !post.src !post.off !post.len;
     Ok (seal_image ~magic (Buffer.contents b))

@@ -97,14 +97,13 @@ let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
 
 (* {1 Codecs}
 
-   Each type an image holds is described once, as a codec: [write]
-   appends a value's bytes and [read] consumes them, so the writer, the
-   restore path and [flatten]'s skip cannot drift apart.  A section of
-   live state is a codec from the live object to the function that
-   applies the decoded section to it: the section is read whole, then
-   applied in place with its shape checks.  Reads are sequenced with
-   [let] throughout, because the reader is stateful and OCaml leaves
-   the evaluation order of tuples and records unspecified. *)
+   Each type an image holds is described once, as a codec that both
+   writes and reads it, so the writer, the restore path and [flatten]'s
+   skip cannot drift apart.  A section of live state is a codec from
+   the live object to the function that applies the decoded section to
+   it, shape checks included.  Reads are sequenced with [let]: the
+   reader is stateful, and OCaml leaves the evaluation order of tuples
+   and records unspecified. *)
 
 type reader = { data : string; mutable pos : int }
 type ('w, 'r) codec = { write : Buffer.t -> 'w -> unit; read : reader -> 'r }
@@ -126,14 +125,12 @@ let int : int t =
   }
 
 let map c decode encode =
-  { write = (fun b v -> c.write b (encode v)); read = (fun r -> decode (c.read r)) }
+  {
+    write = (fun b v -> c.write b (encode v));
+    read = (fun r -> decode (c.read r));
+  }
 
 let unit = { write = (fun _ () -> ()); read = (fun _ -> ()) }
-
-let bool =
-  map int
-    (function 0 -> false | 1 -> true | n -> corrupt (Printf.sprintf "bad boolean %d" n))
-    (fun v -> if v then 1 else 0)
 
 let string =
   {
@@ -151,24 +148,7 @@ let string =
         s);
   }
 
-let option c =
-  {
-    write =
-      (fun b -> function
-        | None -> int.write b 0
-        | Some v ->
-            int.write b 1;
-            c.write b v);
-    read =
-      (fun r ->
-        match int.read r with
-        | 0 -> None
-        | 1 -> Some (c.read r)
-        | n -> corrupt (Printf.sprintf "bad option tag %d" n));
-  }
-
-(* Explicit recursion: List.init's application order is unspecified.
-   Every element takes at least one 8-byte word, so a count the rest of
+(* Every element takes at least one 8-byte word, so a count the rest of
    the payload cannot hold is refused before anything is read for it. *)
 let list c =
   {
@@ -188,37 +168,17 @@ let list c =
         go n []);
   }
 
-let array c =
-  {
-    write =
-      (fun b a ->
-        int.write b (Array.length a);
-        Array.iter (c.write b) a);
-    read = (fun r -> Array.of_list ((list c).read r));
-  }
-
+let array c = map (list c) Array.of_list Array.to_list
 let int_array = array int
 
-let pair a b =
-  {
-    write =
-      (fun buf (x, y) ->
-        a.write buf x;
-        b.write buf y);
-    read =
-      (fun r ->
-        let x = a.read r in
-        let y = b.read r in
-        (x, y));
-  }
-
 (* Records: [record make |+ (c, get) |+ ...] lists the fields in wire
-   order, each with its codec and how the writer gets it; [seal] turns
-   the list into a codec whose [read] feeds the fields to [make] in
-   that order. *)
+   order, each with its codec and the writer's getter; the sealed
+   codec's [read] feeds the decoded fields to [make] in that order. *)
 type ('w, 'f) fields =
   | Make : 'f -> ('w, 'f) fields
-  | Field : ('w, 'r -> 'f) fields * ('a, 'r) codec * ('w -> 'a) -> ('w, 'f) fields
+  | Field :
+      ('w, 'r -> 'f) fields * ('a, 'r) codec * ('w -> 'a)
+      -> ('w, 'f) fields
 
 let record make = Make make
 let ( |+ ) fields (c, get) = Field (fields, c, get)
@@ -241,6 +201,7 @@ let rec read_fields : type w f. (w, f) fields -> reader -> f =
       k x
 
 let seal fields = { write = write_fields fields; read = read_fields fields }
+let pair a b = seal (record (fun x y -> (x, y)) |+ (a, fst) |+ (b, snd))
 
 let triple a b c =
   seal
@@ -249,10 +210,10 @@ let triple a b c =
     |+ (b, fun (_, y, _) -> y)
     |+ (c, fun (_, _, z) -> z))
 
-(* Variants: each case is a codec for the constructor's payload, its
-   constructor and its projection; the tag on the wire is the case's
-   position in the list. *)
-type 'a case = Case : 'b t * ('b -> 'a) * ('a -> 'b option) -> 'a case
+(* Variants: each case is its payload's codec, its constructor and its
+   projection; the tag on the wire is the case's position in the list. *)
+type ('w, 'r) case =
+  | Case : ('b, 'c) codec * ('c -> 'r) * ('w -> 'b option) -> ('w, 'r) case
 
 let case c inj proj = Case (c, inj, proj)
 let const v = case unit (fun () -> v) (fun x -> if x = v then Some () else None)
@@ -281,6 +242,10 @@ let cases what cs =
   }
 
 let enum what vs = cases what (List.map const vs)
+let bool = enum "boolean" [ false; true ]
+let option c =
+  let none = function None -> Some () | Some _ -> None in
+  cases "option" [ case unit (fun () -> None) none; case c Option.some Fun.id ]
 
 (* A constructor that validates (Ring.v, Addr.v, ...) turns a decoded
    out-of-range value into a typed [Corrupt]. *)
@@ -288,7 +253,8 @@ let guard what f = try f () with Invalid_argument m -> corrupt (what ^ ": " ^ m)
 
 (* {1 Domain codecs} *)
 
-let ring = map int (fun n -> guard "ring" (fun () -> Rings.Ring.v n)) Rings.Ring.to_int
+let ring =
+  map int (fun n -> guard "ring" (fun () -> Rings.Ring.v n)) Rings.Ring.to_int
 
 let addr =
   seal
@@ -305,7 +271,8 @@ let ptr =
 
 let dbr =
   seal
-    (record (fun base bound stack_base -> { Hw.Registers.base; bound; stack_base })
+    (record (fun base bound stack_base ->
+         { Hw.Registers.base; bound; stack_base })
     |+ (int, fun (d : Hw.Registers.dbr) -> d.base)
     |+ (int, fun d -> d.bound)
     |+ (int, fun d -> d.stack_base))
@@ -351,13 +318,17 @@ let fault : Rings.Fault.t t =
           | Write_bracket_violation { effective; top } -> Some (effective, top)
           | _ -> None);
       case (triple ring ring ring)
-        (fun (ring, bottom, top) -> Execute_bracket_violation { ring; bottom; top })
+        (fun (ring, bottom, top) ->
+          Execute_bracket_violation { ring; bottom; top })
         (function
-          | Execute_bracket_violation { ring; bottom; top } -> Some (ring, bottom, top)
+          | Execute_bracket_violation { ring; bottom; top } ->
+              Some (ring, bottom, top)
           | _ -> None);
       case (pair int int)
         (fun (wordno, gates) -> Gate_violation { wordno; gates })
-        (function Gate_violation { wordno; gates } -> Some (wordno, gates) | _ -> None);
+        (function
+          | Gate_violation { wordno; gates } -> Some (wordno, gates)
+          | _ -> None);
       case (pair ring ring)
         (fun (effective, top) -> Outside_gate_extension { effective; top })
         (function
@@ -393,11 +364,14 @@ let fault : Rings.Fault.t t =
         (function Missing_segment { segno } -> Some segno | _ -> None);
       case (pair int int)
         (fun (segno, pageno) -> Missing_page { segno; pageno })
-        (function Missing_page { segno; pageno } -> Some (segno, pageno) | _ -> None);
+        (function
+          | Missing_page { segno; pageno } -> Some (segno, pageno)
+          | _ -> None);
       case (triple int int int)
         (fun (segno, wordno, bound) -> Bound_violation { segno; wordno; bound })
         (function
-          | Bound_violation { segno; wordno; bound } -> Some (segno, wordno, bound)
+          | Bound_violation { segno; wordno; bound } ->
+              Some (segno, wordno, bound)
           | _ -> None);
       case int
         (fun word -> Illegal_opcode { word })
@@ -430,10 +404,14 @@ let fault : Rings.Fault.t t =
           | _ -> None);
       case ring
         (fun effective -> Cap_load_violation { effective })
-        (function Cap_load_violation { effective } -> Some effective | _ -> None);
+        (function
+          | Cap_load_violation { effective } -> Some effective
+          | _ -> None);
       case ring
         (fun effective -> Cap_store_violation { effective })
-        (function Cap_store_violation { effective } -> Some effective | _ -> None);
+        (function
+          | Cap_store_violation { effective } -> Some effective
+          | _ -> None);
       case ring
         (fun ring -> Cap_exec_violation { ring })
         (function Cap_exec_violation { ring } -> Some ring | _ -> None);
@@ -443,13 +421,17 @@ let fault : Rings.Fault.t t =
           | Cap_seal_violation { wordno; gates } -> Some (wordno, gates)
           | _ -> None);
       case (pair ring ring)
-        (fun (effective, limit) -> Cap_attenuation_violation { effective; limit })
+        (fun (effective, limit) ->
+          Cap_attenuation_violation { effective; limit })
         (function
-          | Cap_attenuation_violation { effective; limit } -> Some (effective, limit)
+          | Cap_attenuation_violation { effective; limit } ->
+              Some (effective, limit)
           | _ -> None);
       case (pair int int)
         (fun (addr, segno) -> Cap_tag_violation { addr; segno })
-        (function Cap_tag_violation { addr; segno } -> Some (addr, segno) | _ -> None);
+        (function
+          | Cap_tag_violation { addr; segno } -> Some (addr, segno)
+          | _ -> None);
     ]
 
 let exit : Kernel.exit t =
@@ -548,7 +530,8 @@ let event : Trace.Event.t t =
       case (pair int int)
         (fun (from_ring, to_ring) -> Descriptor_switch { from_ring; to_ring })
         (function
-          | Descriptor_switch { from_ring; to_ring } -> Some (from_ring, to_ring)
+          | Descriptor_switch { from_ring; to_ring } ->
+              Some (from_ring, to_ring)
           | _ -> None);
       case string (fun s -> Note s) (function Note s -> Some s | _ -> None);
     ]
@@ -563,16 +546,8 @@ let stamped =
 let event_dump =
   seal
     (record
-       (fun
-         d_entries
-         d_next_seq
-         d_dropped
-         d_sampled_out
-         d_high_water
-         d_sample_interval
-         d_sample_seed
-         d_instr_interval
-       ->
+       (fun d_entries d_next_seq d_dropped d_sampled_out d_high_water
+            d_sample_interval d_sample_seed d_instr_interval ->
          {
            Trace.Event.d_entries;
            d_next_seq;
@@ -595,7 +570,8 @@ let event_dump =
 let open_span =
   seal
     (record
-       (fun o_kind o_from_ring o_to_ring o_segno o_wordno o_start o_depth o_seq ->
+       (fun o_kind o_from_ring o_to_ring o_segno o_wordno o_start o_depth
+            o_seq ->
          {
            Trace.Span.o_kind;
            o_from_ring;
@@ -618,18 +594,8 @@ let open_span =
 let completed =
   seal
     (record
-       (fun
-         kind
-         from_ring
-         to_ring
-         segno
-         wordno
-         start_cycles
-         end_cycles
-         depth
-         seq
-         forced
-       ->
+       (fun kind from_ring to_ring segno wordno start_cycles end_cycles depth
+            seq forced ->
          {
            Trace.Span.kind;
            from_ring;
@@ -656,7 +622,8 @@ let completed =
 (* A latency histogram: buckets, count, sum, min, max. *)
 let hist =
   seal
-    (record (fun buckets count sum vmin vmax -> (buckets, count, sum, vmin, vmax))
+    (record (fun buckets count sum vmin vmax ->
+         (buckets, count, sum, vmin, vmax))
     |+ (int_array, fun (b, _, _, _, _) -> b)
     |+ (int, fun (_, c, _, _, _) -> c)
     |+ (int, fun (_, _, s, _, _) -> s)
@@ -666,17 +633,8 @@ let hist =
 let span_dump =
   seal
     (record
-       (fun
-         dump_stack
-         dump_next_seq
-         dump_completed
-         dump_dropped
-         dump_unmatched
-         dump_sampled_out
-         dump_sample_interval
-         dump_sample_seed
-         dump_hists
-       ->
+       (fun dump_stack dump_next_seq dump_completed dump_dropped dump_unmatched
+            dump_sampled_out dump_sample_interval dump_sample_seed dump_hists ->
          {
            Trace.Span.dump_stack;
            dump_next_seq;
@@ -713,7 +671,9 @@ let placement : Process.placement t =
     [
       case (pair int int)
         (fun (base, bound) -> Process.Direct { base; bound })
-        (function Process.Direct { base; bound } -> Some (base, bound) | _ -> None);
+        (function
+          | Process.Direct { base; bound } -> Some (base, bound)
+          | _ -> None);
       case (pair int int)
         (fun (pt_base, bound) -> Process.Paged_at { pt_base; bound })
         (function
@@ -779,8 +739,17 @@ let refill tbl bindings =
 let counters =
   map (list (pair string int))
     (fun l ->
-      match Trace.Counters.of_fields l with Ok s -> s | Error msg -> corrupt msg)
+      match Trace.Counters.of_fields l with
+      | Ok s -> s
+      | Error msg -> corrupt msg)
     Trace.Counters.fields
+
+let mode =
+  Isa.Machine.(
+    enum "machine mode" [ Ring_hardware; Ring_software_645; Ring_capability ])
+
+let stack_rule =
+  Rings.Stack_rule.(enum "stack rule" [ Segno_equals_ring; Dbr_stack_relative ])
 
 (* Configuration, serialized so restore can shape-check that the
    respawned machine was built the same way, then live processor
@@ -788,23 +757,9 @@ let counters =
 let machine_pre : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
   seal
     (record
-       (fun
-         mode
-         stack_rule
-         gate_on_same_ring
-         use_r1
-         regs
-         halted
-         saved
-         timer
-         io_countdown
-         io_request
-         inhibit
-         trap_config
-         degraded
-         io_fail_pending
-         (m : Isa.Machine.t)
-       ->
+       (fun mode stack_rule gate_on_same_ring use_r1 regs halted saved timer
+            io_countdown io_request inhibit trap_config degraded io_fail_pending
+            (m : Isa.Machine.t) ->
          if mode <> m.mode then shape "machine mode differs";
          if stack_rule <> m.stack_rule then shape "stack rule differs";
          if gate_on_same_ring <> m.gate_on_same_ring then
@@ -821,10 +776,8 @@ let machine_pre : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
          m.trap_config <- trap_config;
          m.degraded <- degraded;
          m.io_fail_pending <- io_fail_pending)
-    |+ ( Isa.Machine.(enum "machine mode" [ Ring_hardware; Ring_software_645; Ring_capability ]),
-         fun (m : Isa.Machine.t) -> m.mode )
-    |+ ( Rings.Stack_rule.(enum "stack rule" [ Segno_equals_ring; Dbr_stack_relative ]),
-         fun m -> m.stack_rule )
+    |+ (mode, fun (m : Isa.Machine.t) -> m.mode)
+    |+ (stack_rule, fun m -> m.stack_rule)
     |+ (bool, fun m -> m.gate_on_same_ring)
     |+ (bool, fun m -> m.use_r1_in_indirection)
     |+ (regs, fun m -> m.regs)
@@ -925,15 +878,16 @@ let apply_memory r mem ~since ~mark =
    memory rewind swept only the pages written since a mark. *)
 let machine_post : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
   seal
-    (record (fun sdw_keys injector tags_enabled tagged cap_stack (m : Isa.Machine.t) ->
-         Hashtbl.reset m.sdw_tags;
-         List.iter (fun k -> Hashtbl.replace m.sdw_tags k Hw.Sdw.absent) sdw_keys;
+    (record
+       (fun sdw_keys injector tags_enabled tagged cap_stack (m : Isa.Machine.t) ->
+         refill m.sdw_tags (List.map (fun k -> (k, Hw.Sdw.absent)) sdw_keys);
          (match (injector, m.injector) with
          | None, None -> ()
          | Some d, Some i -> (
              try Hw.Inject.restore i d with Invalid_argument msg -> shape msg)
          | Some _, None -> shape "image has a fault injector, this run does not"
-         | None, Some _ -> shape "this run has a fault injector, the image does not");
+         | None, Some _ ->
+             shape "this run has a fault injector, the image does not");
          let mem = m.mem in
          if tags_enabled <> Hw.Memory.tags_enabled mem then
            shape "capability tag store presence differs";
@@ -948,9 +902,7 @@ let machine_post : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
          end
          else if tagged <> [] then corrupt "tagged words without a tag store";
          m.cap_stack <- cap_stack)
-    |+ ( list int,
-         fun (m : Isa.Machine.t) ->
-           List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) m.sdw_tags []) )
+    |+ (list int, fun (m : Isa.Machine.t) -> List.map fst (sorted_bindings m.sdw_tags))
     |+ (option inject_dump, fun m -> Option.map Hw.Inject.dump m.injector)
     |+ (bool, fun m -> Hw.Memory.tags_enabled m.mem)
     |+ (list int, fun m -> Hw.Memory.tagged_addrs m.mem)
@@ -960,7 +912,8 @@ let machine_post : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
 let trace : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
   let restoring f = try f () with Invalid_argument msg -> corrupt msg in
   seal
-    (record (fun log_on log spans_on spans profile_on profile (m : Isa.Machine.t) ->
+    (record
+       (fun log_on log spans_on spans profile_on profile (m : Isa.Machine.t) ->
          Trace.Event.set_enabled m.log log_on;
          restoring (fun () -> Trace.Event.restore m.log log);
          Trace.Span.set_enabled m.spans spans_on;
@@ -987,22 +940,9 @@ let paging : (Process.paging_state, Process.paging_state -> unit) codec =
 let process : (Process.t, Process.t -> unit) codec =
   seal
     (record
-       (fun
-         user
-         descsegs
-         ring_data
-         placement
-         loaded
-         next_segno
-         next_free
-         paging
-         crossings
-         fault_count
-         io_attempts
-         search_rules
-         typewriter
-         (p : Process.t)
-       ->
+       (fun user descsegs ring_data placement loaded next_segno next_free paging
+            crossings fault_count io_attempts search_rules typewriter
+            (p : Process.t) ->
          if not (String.equal user p.user) then shape "process user differs";
          if Array.length descsegs <> Array.length p.descsegs then
            shape "descriptor-segment count differs";
@@ -1019,15 +959,18 @@ let process : (Process.t, Process.t -> unit) codec =
          (match (paging, p.paging) with
          | None, None -> ()
          | Some apply, Some ps -> apply ps
-         | Some _, None -> shape "image process is demand-paged, this one is not"
-         | None, Some _ -> shape "this process is demand-paged, the image's is not");
+         | Some _, None ->
+             shape "image process is demand-paged, this one is not"
+         | None, Some _ ->
+             shape "this process is demand-paged, the image's is not");
          p.crossings <- crossings;
          p.fault_count <- fault_count;
          p.io_attempts <- io_attempts;
          (* A directory search path holds live closures and is not
             snapshottable; the image records its presence so restore
             can refuse. *)
-         if search_rules then corrupt "directory search rules are not snapshottable";
+         if search_rules then
+           corrupt "directory search rules are not snapshottable";
          Device.restore p.typewriter typewriter)
     |+ (string, fun (p : Process.t) -> p.user)
     |+ (array dbr, fun p -> p.descsegs)
@@ -1056,7 +999,8 @@ let status : System.status t =
 let entry : (System.entry, System.entry -> unit) codec =
   seal
     (record
-       (fun pname status saved_regs saved_io stalled process (e : System.entry) ->
+       (fun pname status saved_regs saved_io stalled process
+            (e : System.entry) ->
          if not (String.equal pname e.pname) then shape "process names differ";
          e.status <- status;
          e.saved_regs <- saved_regs;
@@ -1077,7 +1021,9 @@ let system : (System.t, System.t -> unit) codec =
          System.set_finished_log sys finished_log;
          let live = System.entries sys in
          let known pname =
-           List.exists (fun (e : System.entry) -> String.equal e.pname pname) live
+           List.exists
+             (fun (e : System.entry) -> String.equal e.pname pname)
+             live
          in
          List.iter
            (fun pname ->

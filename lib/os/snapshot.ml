@@ -59,6 +59,12 @@ exception Fail of error
 let corrupt msg = raise (Fail (Corrupt msg))
 let shape msg = raise (Fail (Shape_mismatch msg))
 
+(* Run a decoder, turning its failures into the typed error. *)
+let decoding f =
+  try Ok (f ()) with
+  | Fail e -> Error e
+  | Invalid_argument msg -> Error (Corrupt msg)
+
 let magic = "RINGSNAP"
 
 (* Incremental deltas carry a sibling magic: same header shape, same
@@ -98,12 +104,10 @@ let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
 (* {1 Codecs}
 
    Each type an image holds is described once, as a codec that both
-   writes and reads it, so the writer, the restore path and [flatten]'s
-   skip cannot drift apart.  A section of live state is a codec from
-   the live object to the function that applies the decoded section to
-   it, shape checks included.  Reads are sequenced with [let]: the
-   reader is stateful, and OCaml leaves the evaluation order of tuples
-   and records unspecified. *)
+   writes and reads it.  A section of live state is a codec from the
+   live object to the function that applies the decoded section to it,
+   shape checks included.  Reads are sequenced with [let]: the reader
+   is stateful, and OCaml leaves tuple evaluation order unspecified. *)
 
 type reader = { data : string; mutable pos : int }
 type ('w, 'r) codec = { write : Buffer.t -> 'w -> unit; read : reader -> 'r }
@@ -310,51 +314,48 @@ let fault : Rings.Fault.t t =
       case (pair ring ring)
         (fun (effective, top) -> Read_bracket_violation { effective; top })
         (function
-          | Read_bracket_violation { effective; top } -> Some (effective, top)
+          | Read_bracket_violation r -> Some (r.effective, r.top)
           | _ -> None);
       case (pair ring ring)
         (fun (effective, top) -> Write_bracket_violation { effective; top })
         (function
-          | Write_bracket_violation { effective; top } -> Some (effective, top)
+          | Write_bracket_violation r -> Some (r.effective, r.top)
           | _ -> None);
       case (triple ring ring ring)
         (fun (ring, bottom, top) ->
           Execute_bracket_violation { ring; bottom; top })
         (function
-          | Execute_bracket_violation { ring; bottom; top } ->
-              Some (ring, bottom, top)
+          | Execute_bracket_violation r -> Some (r.ring, r.bottom, r.top)
           | _ -> None);
       case (pair int int)
         (fun (wordno, gates) -> Gate_violation { wordno; gates })
-        (function
-          | Gate_violation { wordno; gates } -> Some (wordno, gates)
-          | _ -> None);
+        (function Gate_violation r -> Some (r.wordno, r.gates) | _ -> None);
       case (pair ring ring)
         (fun (effective, top) -> Outside_gate_extension { effective; top })
         (function
-          | Outside_gate_extension { effective; top } -> Some (effective, top)
+          | Outside_gate_extension r -> Some (r.effective, r.top)
           | _ -> None);
       case (pair (pair ring ring) (pair int int))
         (fun ((from_ring, to_ring), (segno, wordno)) ->
           Upward_call { from_ring; to_ring; segno; wordno })
         (function
-          | Upward_call { from_ring; to_ring; segno; wordno } ->
-              Some ((from_ring, to_ring), (segno, wordno))
+          | Upward_call r ->
+              Some ((r.from_ring, r.to_ring), (r.segno, r.wordno))
           | _ -> None);
       case (pair ring ring)
         (fun (exec, effective) -> Effective_ring_raised { exec; effective })
         (function
-          | Effective_ring_raised { exec; effective } -> Some (exec, effective)
+          | Effective_ring_raised r -> Some (r.exec, r.effective)
           | _ -> None);
       case (pair ring ring)
         (fun (from_ring, to_ring) -> Downward_return { from_ring; to_ring })
         (function
-          | Downward_return { from_ring; to_ring } -> Some (from_ring, to_ring)
+          | Downward_return r -> Some (r.from_ring, r.to_ring)
           | _ -> None);
       case (pair ring ring)
         (fun (exec, effective) -> Transfer_ring_change { exec; effective })
         (function
-          | Transfer_ring_change { exec; effective } -> Some (exec, effective)
+          | Transfer_ring_change r -> Some (r.exec, r.effective)
           | _ -> None);
       case ring
         (fun ring -> Privileged_instruction { ring })
@@ -364,14 +365,11 @@ let fault : Rings.Fault.t t =
         (function Missing_segment { segno } -> Some segno | _ -> None);
       case (pair int int)
         (fun (segno, pageno) -> Missing_page { segno; pageno })
-        (function
-          | Missing_page { segno; pageno } -> Some (segno, pageno)
-          | _ -> None);
+        (function Missing_page r -> Some (r.segno, r.pageno) | _ -> None);
       case (triple int int int)
         (fun (segno, wordno, bound) -> Bound_violation { segno; wordno; bound })
         (function
-          | Bound_violation { segno; wordno; bound } ->
-              Some (segno, wordno, bound)
+          | Bound_violation r -> Some (r.segno, r.wordno, r.bound)
           | _ -> None);
       case int
         (fun word -> Illegal_opcode { word })
@@ -379,7 +377,7 @@ let fault : Rings.Fault.t t =
       case (pair int int)
         (fun (segno, wordno) -> Cross_ring_transfer { segno; wordno })
         (function
-          | Cross_ring_transfer { segno; wordno } -> Some (segno, wordno)
+          | Cross_ring_transfer r -> Some (r.segno, r.wordno)
           | _ -> None);
       case ring
         (fun ring -> Halt_in_slave_ring { ring })
@@ -399,39 +397,28 @@ let fault : Rings.Fault.t t =
         (function Watchdog_timeout { budget } -> Some budget | _ -> None);
       case (pair string int)
         (fun (resource, limit) -> Quota_exhausted { resource; limit })
-        (function
-          | Quota_exhausted { resource; limit } -> Some (resource, limit)
-          | _ -> None);
+        (function Quota_exhausted r -> Some (r.resource, r.limit) | _ -> None);
       case ring
         (fun effective -> Cap_load_violation { effective })
-        (function
-          | Cap_load_violation { effective } -> Some effective
-          | _ -> None);
+        (function Cap_load_violation r -> Some r.effective | _ -> None);
       case ring
         (fun effective -> Cap_store_violation { effective })
-        (function
-          | Cap_store_violation { effective } -> Some effective
-          | _ -> None);
+        (function Cap_store_violation r -> Some r.effective | _ -> None);
       case ring
         (fun ring -> Cap_exec_violation { ring })
         (function Cap_exec_violation { ring } -> Some ring | _ -> None);
       case (pair int int)
         (fun (wordno, gates) -> Cap_seal_violation { wordno; gates })
-        (function
-          | Cap_seal_violation { wordno; gates } -> Some (wordno, gates)
-          | _ -> None);
+        (function Cap_seal_violation r -> Some (r.wordno, r.gates) | _ -> None);
       case (pair ring ring)
         (fun (effective, limit) ->
           Cap_attenuation_violation { effective; limit })
         (function
-          | Cap_attenuation_violation { effective; limit } ->
-              Some (effective, limit)
+          | Cap_attenuation_violation r -> Some (r.effective, r.limit)
           | _ -> None);
       case (pair int int)
         (fun (addr, segno) -> Cap_tag_violation { addr; segno })
-        (function
-          | Cap_tag_violation { addr; segno } -> Some (addr, segno)
-          | _ -> None);
+        (function Cap_tag_violation r -> Some (r.addr, r.segno) | _ -> None);
     ]
 
 let exit : Kernel.exit t =
@@ -530,8 +517,7 @@ let event : Trace.Event.t t =
       case (pair int int)
         (fun (from_ring, to_ring) -> Descriptor_switch { from_ring; to_ring })
         (function
-          | Descriptor_switch { from_ring; to_ring } ->
-              Some (from_ring, to_ring)
+          | Descriptor_switch r -> Some (r.from_ring, r.to_ring)
           | _ -> None);
       case string (fun s -> Note s) (function Note s -> Some s | _ -> None);
     ]
@@ -671,14 +657,10 @@ let placement : Process.placement t =
     [
       case (pair int int)
         (fun (base, bound) -> Process.Direct { base; bound })
-        (function
-          | Process.Direct { base; bound } -> Some (base, bound)
-          | _ -> None);
+        (function Process.Direct r -> Some (r.base, r.bound) | _ -> None);
       case (pair int int)
         (fun (pt_base, bound) -> Process.Paged_at { pt_base; bound })
-        (function
-          | Process.Paged_at { pt_base; bound } -> Some (pt_base, bound)
-          | _ -> None);
+        (function Process.Paged_at r -> Some (r.pt_base, r.bound) | _ -> None);
     ]
 
 let loaded =
@@ -731,10 +713,8 @@ let refill tbl bindings =
 (* {1 Sections}
 
    A full payload is counters | machine pre | memory | machine post |
-   trace | system.  The machine section is split around the memory so
-   the incremental delta codec can reuse the exact codecs around a
-   different memory encoding; a full image is always pre ++ memory ++
-   post, which [flatten] leans on. *)
+   trace | system.  A delta reuses every codec around its own memory
+   encoding, which is what lets [flatten] splice pre and post. *)
 
 let counters =
   map (list (pair string int))
@@ -802,6 +782,20 @@ let machine_pre : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
     |+ (bool, fun m -> m.degraded)
     |+ (bool, fun m -> m.io_fail_pending))
 
+(* Append the nonzero words of [[lo, hi)] to [b] as (address - [base],
+   word) pairs; return how many. *)
+let write_nonzero b mem ~base ~lo ~hi =
+  let n = ref 0 in
+  for a = lo to hi - 1 do
+    let w = Hw.Memory.read_silent mem a in
+    if w <> 0 then begin
+      incr n;
+      int.write b (a - base);
+      int.write b w
+    end
+  done;
+  !n
+
 (* Memory, sparsely: (address, word) pairs ascending.  A page never
    written holds only zeros (the stamp-0 invariant of {!Hw.Memory}), so
    it is skipped unread.  Memory is the one section streamed rather
@@ -812,17 +806,10 @@ let write_memory b (mem : Hw.Memory.t) =
   let words = Buffer.create 65536 in
   let count = ref 0 in
   for p = 0 to Hw.Memory.pages mem - 1 do
-    if Hw.Memory.written_since mem ~epoch:0 p then begin
-      let base = p * Hw.Memory.page_words in
-      for a = base to min size (base + Hw.Memory.page_words) - 1 do
-        let w = Hw.Memory.read_silent mem a in
-        if w <> 0 then begin
-          incr count;
-          int.write words a;
-          int.write words w
-        end
-      done
-    end
+    if Hw.Memory.written_since mem ~epoch:0 p then
+      let lo = p * Hw.Memory.page_words in
+      let hi = min size (lo + Hw.Memory.page_words) in
+      count := !count + write_nonzero words mem ~base:0 ~lo ~hi
   done;
   int.write b !count;
   Buffer.add_buffer b words
@@ -866,20 +853,16 @@ let apply_memory r mem ~since ~mark =
   zero (!prev + 1) size;
   Option.iter (Hw.Memory.set_mark mem) mark
 
-(* The modeled SDW tag-store population (keys only: quiesce demoted
-   every value to the absent sentinel, and the population is what drives
-   modeled accounting), the fault injector's RNG, armed-rule positions
-   and poison table (the address ranges are re-registered by the
-   respawn), and the capability backend's validity tags (addresses
-   only; a tag is one bit) and sealed-return stack, both empty in the
-   other modes.  Applied after memory: restoring a word goes through
-   [write_silent], which clears its tag.  Tags are outside the write
-   stamps, so the tag store is always rewound whole, even when the
-   memory rewind swept only the pages written since a mark. *)
+(* The SDW tag-store keys (quiesce left every value absent), the fault
+   injector's state (the respawn re-registers its ranges), and the
+   capability tags and sealed-return stack.  Applied after memory,
+   whose [write_silent] clears tags; tags are outside the write stamps,
+   so the tag store is always rewound whole. *)
 let machine_post : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
   seal
     (record
-       (fun sdw_keys injector tags_enabled tagged cap_stack (m : Isa.Machine.t) ->
+       (fun sdw_keys injector tags_enabled tagged cap_stack
+            (m : Isa.Machine.t) ->
          refill m.sdw_tags (List.map (fun k -> (k, Hw.Sdw.absent)) sdw_keys);
          (match (injector, m.injector) with
          | None, None -> ()
@@ -902,7 +885,8 @@ let machine_post : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
          end
          else if tagged <> [] then corrupt "tagged words without a tag store";
          m.cap_stack <- cap_stack)
-    |+ (list int, fun (m : Isa.Machine.t) -> List.map fst (sorted_bindings m.sdw_tags))
+    |+ ( list int,
+         fun (m : Isa.Machine.t) -> List.map fst (sorted_bindings m.sdw_tags) )
     |+ (option inject_dump, fun m -> Option.map Hw.Inject.dump m.injector)
     |+ (bool, fun m -> Hw.Memory.tags_enabled m.mem)
     |+ (list int, fun m -> Hw.Memory.tagged_addrs m.mem)
@@ -1132,50 +1116,36 @@ let parse_header image = parse_sealed magic image
    without hashing it again. *)
 let sealed_sum image = Int64.to_int (String.get_int64_be image (header_len - 8))
 
-(* Trusted fast path for images this very process captured: header and
-   checksum are still verified (cheap), but the re-capture self-check
-   and the kernel-table audit — the two expensive restore layers that
-   exist to catch on-disk damage and tampering — are skipped, and the
-   [restores] counter is left exactly as the image recorded it.  This
-   is the serving fleet's warm-boot: rewinding a shard's machine to
-   its boot image between requests, with the restored counters
-   byte-for-byte the boot counters, so per-request deltas are
-   comparable across shards and runs.
-
-   The memory rewind is proportional to what changed, not to memory:
-   when the last warm boot of this memory was to this same image, only
-   the pages written since that boot are swept; every non-memory
-   section is still decoded in full. *)
+(* Trusted fast path for images this very process captured (the
+   serving fleet's warm boot): header and checksum are verified, but
+   the re-capture self-check and the kernel-table audit are skipped and
+   [restores] is left as the image recorded it, so per-request counter
+   deltas compare across shards and runs.  When the last warm boot of
+   this memory was to this same image, only the pages written since are
+   swept; every non-memory section is decoded in full. *)
 let rewind sys image =
   let m = System.machine sys in
   let mem = m.Isa.Machine.mem in
-  try
-    let r = parse_header image in
-    let since = Hw.Memory.mark_epoch mem image in
-    let start = Hw.Memory.epoch mem in
-    Isa.Machine.quiesce m;
-    apply ~since ~mark:image r sys;
-    Ok (List.length (Hw.Memory.pages_since mem ~epoch:start))
-  with
-  | Fail e -> Error e
-  | Invalid_argument msg -> Error (Corrupt msg)
+  decoding (fun () ->
+      let r = parse_header image in
+      let since = Hw.Memory.mark_epoch mem image in
+      let start = Hw.Memory.epoch mem in
+      Isa.Machine.quiesce m;
+      apply ~since ~mark:image r sys;
+      List.length (Hw.Memory.pages_since mem ~epoch:start))
 
 let warm_boot sys image = Result.map ignore (rewind sys image)
 
 let restore sys image =
   let m = System.machine sys in
   let applied =
-    try
-      let r = parse_header image in
-      (* Flush whatever host state the respawn replay left behind; the
-         apply below rebuilds the exact quiesced state the image was
-         captured in. *)
-      Isa.Machine.quiesce m;
-      apply r sys;
-      Ok ()
-    with
-    | Fail e -> Error e
-    | Invalid_argument msg -> Error (Corrupt msg)
+    decoding (fun () ->
+        let r = parse_header image in
+        (* Flush whatever host state the respawn replay left behind; the
+           apply below rebuilds the exact quiesced state the image was
+           captured in. *)
+        Isa.Machine.quiesce m;
+        apply r sys)
   in
   match applied with
   | Error e -> Error e
@@ -1217,7 +1187,7 @@ let restore sys image =
 
      "RINGDELT" | version | payload length | checksum | payload
      payload = base_sum            predecessor's payload checksum
-             | pre_len | pre       counters + machine-pre, same writers
+             | pre_len | pre       counters + machine pre, same codecs
              | mem_size
              | npages | (pageno | len | nnz | nnz (offset | word)
                pairs, offsets ascending, words nonzero) ascending
@@ -1230,7 +1200,7 @@ let restore sys image =
    size, which is what makes checkpointing every scheduler slice
    affordable.
 
-   Because pre and post come from the very writers a full capture
+   Because pre and post come from the very codecs a full capture
    uses, [flatten base deltas] — base memory with the delta pages laid
    over it, re-encoded sparsely between the last delta's pre and post
    bytes — is byte-for-byte the image [capture] would have produced at
@@ -1282,21 +1252,12 @@ let capture_delta sys chain =
       let pairs = Buffer.create 4096 in
       List.iter
         (fun p ->
-          let base_addr = p * Hw.Memory.page_words in
-          let len = min Hw.Memory.page_words (size - base_addr) in
+          let lo = p * Hw.Memory.page_words in
+          let hi = min size (lo + Hw.Memory.page_words) in
           int.write b p;
-          int.write b len;
+          int.write b (hi - lo);
           Buffer.clear pairs;
-          let nnz = ref 0 in
-          for i = 0 to len - 1 do
-            let w = Hw.Memory.read_silent mem (base_addr + i) in
-            if w <> 0 then begin
-              incr nnz;
-              int.write pairs i;
-              int.write pairs w
-            end
-          done;
-          int.write b !nnz;
+          int.write b (write_nonzero pairs mem ~base:lo ~lo ~hi);
           Buffer.add_buffer b pairs)
         pages;
       machine_post.write b m;
@@ -1324,7 +1285,7 @@ let memory_size r =
    splices into its output without copying them out first. *)
 type slice = { src : string; off : int; len : int }
 
-let r_slice r n =
+let take_slice r n =
   need r n;
   let s = { src = r.data; off = r.pos; len = n } in
   r.pos <- r.pos + n;
@@ -1349,123 +1310,118 @@ let int_at s pos = Int64.to_int (String.get_int64_be s pos)
    fold — zero the page, lay the pairs over it, re-encode every nonzero
    word — produced. *)
 let flatten ~base deltas =
-  try
-    let r = parse_header base in
-    let size = memory_size r in
-    (* The pre section ends where the 8-byte memory size begins. *)
-    let pre =
-      ref { src = base; off = header_len; len = r.pos - 8 - header_len }
-    in
-    let count = int.read r in
-    if count < 0 then corrupt "negative memory pair count";
-    let base_pairs = r.pos in
-    let prev = ref (-1) in
-    for _ = 1 to count do
-      let a = int.read r in
-      let (_ : int) = int.read r in
-      if a <= !prev || a >= size then corrupt "memory pairs not ascending";
-      prev := a
-    done;
-    let post = ref (r_slice r (String.length base - r.pos)) in
-    let owned = Hashtbl.create 64 in
-    let prev_sum = ref (sealed_sum base) in
-    List.iteri
-      (fun i delta ->
-        let r = parse_sealed delta_magic delta in
-        let base_sum = int.read r in
-        if base_sum <> !prev_sum then
-          raise (Fail (if i = 0 then Stale_base else Broken_chain i));
-        let pre_len = int.read r in
-        if pre_len < 0 then corrupt "negative string length";
-        let pre_bytes = r_slice r pre_len in
-        let delta_size = int.read r in
-        if delta_size <> size then
-          raise
-            (Fail
-               (Shape_mismatch
-                  (Printf.sprintf "delta %d memory size %d, base has %d" i
-                     delta_size size)));
-        let npages = int.read r in
-        if npages < 0 then corrupt "negative page count";
-        let prev_page = ref (-1) in
-        for _ = 1 to npages do
-          let p = int.read r in
-          let len = int.read r in
-          let base_addr = p * Hw.Memory.page_words in
-          if p <= !prev_page then corrupt "delta pages not ascending";
-          if
-            base_addr < 0 || base_addr >= size
-            || len <> min Hw.Memory.page_words (size - base_addr)
-          then corrupt "delta page out of range";
-          let nnz = int.read r in
-          if nnz < 0 || nnz > len then corrupt "delta page pair count";
-          (* A sparse page is the page's whole contents: it replaces
-             whatever the base or an older delta held there. *)
-          Hashtbl.replace owned p { delta; at = r.pos; nnz };
-          let prev_off = ref (-1) in
-          for _ = 1 to nnz do
-            let off = int.read r in
-            let w = int.read r in
-            if off <= !prev_off || off >= len then
-              corrupt "delta page pairs not ascending";
-            if w = 0 then corrupt "zero word in sparse delta page";
-            prev_off := off
+  decoding (fun () ->
+      let r = parse_header base in
+      let size = memory_size r in
+      (* The pre section ends where the 8-byte memory size begins. *)
+      let pre =
+        ref { src = base; off = header_len; len = r.pos - 8 - header_len }
+      in
+      let count = int.read r in
+      if count < 0 then corrupt "negative memory pair count";
+      let base_pairs = r.pos in
+      let prev = ref (-1) in
+      for _ = 1 to count do
+        let a = int.read r in
+        let (_ : int) = int.read r in
+        if a <= !prev || a >= size then corrupt "memory pairs not ascending";
+        prev := a
+      done;
+      let post = ref (take_slice r (String.length base - r.pos)) in
+      let owned = Hashtbl.create 64 in
+      let prev_sum = ref (sealed_sum base) in
+      List.iteri
+        (fun i delta ->
+          let r = parse_sealed delta_magic delta in
+          let base_sum = int.read r in
+          if base_sum <> !prev_sum then
+            raise (Fail (if i = 0 then Stale_base else Broken_chain i));
+          let pre_len = int.read r in
+          if pre_len < 0 then corrupt "negative string length";
+          let pre_bytes = take_slice r pre_len in
+          let delta_size = int.read r in
+          if delta_size <> size then
+            shape
+              (Printf.sprintf "delta %d memory size %d, base has %d" i
+                 delta_size size);
+          let npages = int.read r in
+          if npages < 0 then corrupt "negative page count";
+          let prev_page = ref (-1) in
+          for _ = 1 to npages do
+            let p = int.read r in
+            let len = int.read r in
+            let base_addr = p * Hw.Memory.page_words in
+            if p <= !prev_page then corrupt "delta pages not ascending";
+            if
+              base_addr < 0 || base_addr >= size
+              || len <> min Hw.Memory.page_words (size - base_addr)
+            then corrupt "delta page out of range";
+            let nnz = int.read r in
+            if nnz < 0 || nnz > len then corrupt "delta page pair count";
+            (* A sparse page is the page's whole contents: it replaces
+               whatever the base or an older delta held there. *)
+            Hashtbl.replace owned p { delta; at = r.pos; nnz };
+            let prev_off = ref (-1) in
+            for _ = 1 to nnz do
+              let off = int.read r in
+              let w = int.read r in
+              if off <= !prev_off || off >= len then
+                corrupt "delta page pairs not ascending";
+              if w = 0 then corrupt "zero word in sparse delta page";
+              prev_off := off
+            done;
+            prev_page := p
           done;
-          prev_page := p
-        done;
-        pre := pre_bytes;
-        post := r_slice r (String.length delta - r.pos);
-        prev_sum := sealed_sum delta)
-      deltas;
-    (* Re-encode: pre ++ sparse memory ++ post is exactly what a full
-       capture at the last delta's capture point serialized. *)
-    let pairs = Buffer.create ((16 * count) + 4096) in
-    let emitted = ref 0 in
-    (* Every pair is re-encoded from its decoded value, as the dense
-       fold did, so even a non-canonical encoding in a crafted image
-       folds to the same bytes; a zero word folds to nothing. *)
-    let emit a w =
-      if w <> 0 then begin
-        int.write pairs a;
-        int.write pairs w;
-        incr emitted
-      end
-    in
-    let next = ref 0 in
-    let addr_of k = int_at base (base_pairs + (16 * k)) in
-    let copy_base_below limit =
-      while !next < count && addr_of !next < limit do
-        emit (addr_of !next) (int_at base (base_pairs + (16 * !next) + 8));
-        incr next
-      done
-    in
-    let pages =
-      List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) owned [])
-    in
-    List.iter
-      (fun p ->
-        let lo = p * Hw.Memory.page_words in
-        copy_base_below lo;
-        while !next < count && addr_of !next < lo + Hw.Memory.page_words do
+          pre := pre_bytes;
+          post := take_slice r (String.length delta - r.pos);
+          prev_sum := sealed_sum delta)
+        deltas;
+      (* Re-encode: pre ++ sparse memory ++ post is exactly what a full
+         capture at the last delta's capture point serialized. *)
+      let pairs = Buffer.create ((16 * count) + 4096) in
+      let emitted = ref 0 in
+      (* Every pair is re-encoded from its decoded value, as the dense
+         fold did, so even a non-canonical encoding in a crafted image
+         folds to the same bytes; a zero word folds to nothing. *)
+      let emit a w =
+        if w <> 0 then begin
+          int.write pairs a;
+          int.write pairs w;
+          incr emitted
+        end
+      in
+      let next = ref 0 in
+      let addr_of k = int_at base (base_pairs + (16 * k)) in
+      let copy_base_below limit =
+        while !next < count && addr_of !next < limit do
+          emit (addr_of !next) (int_at base (base_pairs + (16 * !next) + 8));
           incr next
-        done;
-        let { delta; at; nnz } = Hashtbl.find owned p in
-        for k = 0 to nnz - 1 do
-          let pair = at + (16 * k) in
-          emit (lo + int_at delta pair) (int_at delta (pair + 8))
-        done)
-      pages;
-    copy_base_below max_int;
-    let b = Buffer.create (!pre.len + 16 + Buffer.length pairs + !post.len) in
-    Buffer.add_substring b !pre.src !pre.off !pre.len;
-    int.write b size;
-    int.write b !emitted;
-    Buffer.add_buffer b pairs;
-    Buffer.add_substring b !post.src !post.off !post.len;
-    Ok (seal_image ~magic (Buffer.contents b))
-  with
-  | Fail e -> Error e
-  | Invalid_argument msg -> Error (Corrupt msg)
+        done
+      in
+      let pages =
+        List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) owned [])
+      in
+      List.iter
+        (fun p ->
+          let lo = p * Hw.Memory.page_words in
+          copy_base_below lo;
+          while !next < count && addr_of !next < lo + Hw.Memory.page_words do
+            incr next
+          done;
+          let { delta; at; nnz } = Hashtbl.find owned p in
+          for k = 0 to nnz - 1 do
+            let pair = at + (16 * k) in
+            emit (lo + int_at delta pair) (int_at delta (pair + 8))
+          done)
+        pages;
+      copy_base_below max_int;
+      let b = Buffer.create (!pre.len + 16 + Buffer.length pairs + !post.len) in
+      Buffer.add_substring b !pre.src !pre.off !pre.len;
+      int.write b size;
+      int.write b !emitted;
+      Buffer.add_buffer b pairs;
+      Buffer.add_substring b !post.src !post.off !post.len;
+      seal_image ~magic (Buffer.contents b))
 
 let restore_chain sys ~base deltas =
   match flatten ~base deltas with
@@ -1482,17 +1438,11 @@ let restore_chain sys ~base deltas =
    memory size are read: the memory pairs themselves are the next
    [flatten]'s to validate. *)
 let rebase chain ~base =
-  try
-    let size = memory_size (parse_header base) in
-    if size <> chain.chain_mem_size then
-      raise
-        (Fail
-           (Shape_mismatch
-              (Printf.sprintf "rebase image memory size %d, chain has %d" size
-                 chain.chain_mem_size)));
-    chain.tail_sum <- sealed_sum base;
-    chain.deltas_taken <- 0;
-    Ok ()
-  with
-  | Fail e -> Error e
-  | Invalid_argument msg -> Error (Corrupt msg)
+  decoding (fun () ->
+      let size = memory_size (parse_header base) in
+      if size <> chain.chain_mem_size then
+        shape
+          (Printf.sprintf "rebase image memory size %d, chain has %d" size
+             chain.chain_mem_size);
+      chain.tail_sum <- sealed_sum base;
+      chain.deltas_taken <- 0)

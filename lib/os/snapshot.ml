@@ -208,11 +208,9 @@ let seal fields = { write = write_fields fields; read = read_fields fields }
 let pair a b = seal (record (fun x y -> (x, y)) |+ (a, fst) |+ (b, snd))
 
 let triple a b c =
-  seal
-    (record (fun x y z -> (x, y, z))
-    |+ (a, fun (x, _, _) -> x)
-    |+ (b, fun (_, y, _) -> y)
-    |+ (c, fun (_, _, z) -> z))
+  map (pair a (pair b c))
+    (fun (x, (y, z)) -> (x, y, z))
+    (fun (x, y, z) -> (x, (y, z)))
 
 (* Variants: each case is its payload's codec, its constructor and its
    projection; the tag on the wire is the case's position in the list. *)
@@ -473,14 +471,9 @@ let crossing_kind =
 
 (* A call's or a return's crossing kind, rings and target. *)
 let transfer =
-  seal
-    (record (fun crossing from_ring to_ring segno wordno ->
-         (crossing, from_ring, to_ring, segno, wordno))
-    |+ (crossing_kind, fun (c, _, _, _, _) -> c)
-    |+ (int, fun (_, f, _, _, _) -> f)
-    |+ (int, fun (_, _, t, _, _) -> t)
-    |+ (int, fun (_, _, _, s, _) -> s)
-    |+ (int, fun (_, _, _, _, w) -> w))
+  map (pair crossing_kind (pair (pair int int) (pair int int)))
+    (fun (c, ((f, t), (s, w))) -> (c, f, t, s, w))
+    (fun (c, f, t, s, w) -> (c, ((f, t), (s, w))))
 
 let event : Trace.Event.t t =
   let open Trace.Event in
@@ -607,14 +600,9 @@ let completed =
 
 (* A latency histogram: buckets, count, sum, min, max. *)
 let hist =
-  seal
-    (record (fun buckets count sum vmin vmax ->
-         (buckets, count, sum, vmin, vmax))
-    |+ (int_array, fun (b, _, _, _, _) -> b)
-    |+ (int, fun (_, c, _, _, _) -> c)
-    |+ (int, fun (_, _, s, _, _) -> s)
-    |+ (int, fun (_, _, _, lo, _) -> lo)
-    |+ (int, fun (_, _, _, _, hi) -> hi))
+  map (pair int_array (pair (pair int int) (pair int int)))
+    (fun (b, ((c, s), (lo, hi))) -> (b, c, s, lo, hi))
+    (fun (b, c, s, lo, hi) -> (b, ((c, s), (lo, hi))))
 
 let span_dump =
   seal
@@ -645,12 +633,9 @@ let span_dump =
 (* Per-ring cycles and instructions, per-segment (segno, cycles,
    instructions), kernel cycles. *)
 let profile_dump =
-  seal
-    (record (fun rc ri segments kernel -> (rc, ri, segments, kernel))
-    |+ (int_array, fun (rc, _, _, _) -> rc)
-    |+ (int_array, fun (_, ri, _, _) -> ri)
-    |+ (list (triple int int int), fun (_, _, s, _) -> s)
-    |+ (int, fun (_, _, _, k) -> k))
+  map (pair (pair int_array int_array) (pair (list (triple int int int)) int))
+    (fun ((rc, ri), (s, k)) -> (rc, ri, s, k))
+    (fun (rc, ri, s, k) -> ((rc, ri), (s, k)))
 
 let placement : Process.placement t =
   cases "placement"
@@ -701,6 +686,18 @@ let sealed_return =
     |+ (int, fun (s : Cap.Capability.sealed_return) -> s.sr_otype)
     |+ (int, fun s -> s.sr_segno)
     |+ (int, fun s -> s.sr_wordno))
+
+let to_string c v =
+  let b = Buffer.create 64 in
+  c.write b v;
+  Buffer.contents b
+
+let of_string c s =
+  decoding (fun () ->
+      let r = { data = s; pos = 0 } in
+      let v = c.read r in
+      if r.pos <> String.length s then corrupt "unconsumed bytes";
+      v)
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []

@@ -187,3 +187,31 @@ val restore : System.t -> string -> (unit, error) result
     finally the kernel-table audit (bumping [restore_audit_rejections]
     and returning [Audit_rejected] on failure).  On any error the
     system state is unspecified and must be discarded. *)
+
+(** {1 Codecs}
+
+    Each type an image holds is described once, as a codec that both
+    writes and reads it; the capture path, {!restore} and {!flatten}
+    all run the same codecs.  These are the codecs of the domain types,
+    exposed so that each can be checked on its own. *)
+
+type ('w, 'r) codec
+(** Writes a ['w], reads back an ['r]; the domain codecs below have
+    ['w = 'r]. *)
+
+val to_string : ('a, _) codec -> 'a -> string
+
+val of_string : (_, 'a) codec -> string -> ('a, error) result
+(** Decode exactly the whole string: trailing bytes are [Corrupt]. *)
+
+val fault : (Rings.Fault.t, Rings.Fault.t) codec
+(** A fault's tag on the wire is its {!Rings.Fault.code}. *)
+
+val exit : (Kernel.exit, Kernel.exit) codec
+val event : (Trace.Event.t, Trace.Event.t) codec
+val open_span : (Trace.Span.open_span, Trace.Span.open_span) codec
+val completed : (Trace.Span.completed, Trace.Span.completed) codec
+val placement : (Process.placement, Process.placement) codec
+val loaded : (Process.loaded, Process.loaded) codec
+val crossing : (Process.crossing, Process.crossing) codec
+val regs : (Hw.Registers.t, Hw.Registers.t) codec

@@ -9,4 +9,4 @@ let () =
    @ Test_assoc.suite @ Test_cache_coherence.suite
    @ Test_observability.suite @ Test_integration.suite @ Test_inject.suite
    @ Test_chaos.suite @ Test_snapshot.suite @ Test_serve.suite
-   @ Test_arena.suite @ Test_capability.suite @ Test_golden_images.suite)
+   @ Test_arena.suite @ Test_capability.suite @ Test_golden_images.suite @ Test_codecs.suite)

@@ -177,6 +177,61 @@ let test_damaged_images_are_rejected () =
       Alcotest.failf "expected shape mismatch, got %a" Os.Snapshot.pp_error e
   | Ok () -> Alcotest.fail "restore accepted an image for another system"
 
+(* Offset of the first occurrence of [words], each an 8-byte
+   big-endian integer, in [image]. *)
+let find_words image words =
+  let pat = Buffer.create 32 in
+  List.iter (fun w -> Buffer.add_int64_be pat (Int64.of_int w)) words;
+  let pat = Buffer.contents pat in
+  let rec go i =
+    if i + String.length pat > String.length image then
+      Alcotest.fail "pattern not found in the image"
+    else if String.equal (String.sub image i (String.length pat)) pat then i
+    else go (i + 1)
+  in
+  go 32
+
+(* Overwrite the integer at [at] and reseal, so the damage passes the
+   checksum and only the decoder or the audit can catch it. *)
+let reseal_with image ~at n =
+  let b = Bytes.of_string image in
+  Bytes.set_int64_be b at (Int64.of_int n);
+  Snapshot_ref.reseal (Bytes.to_string b)
+
+let expect_refused what ok image =
+  match Os.Snapshot.restore (fresh_system ()) image with
+  | Ok () -> Alcotest.failf "%s: restore accepted the image" what
+  | Error e when ok e -> ()
+  | Error e -> Alcotest.failf "%s: %a" what Os.Snapshot.pp_error e
+
+(* Two resealed images [restore] once let escape as exceptions: a
+   span-histogram count of 2^40 (which a reader preallocating by count
+   turned into [Out_of_memory]), and a placement bound no SDW can hold
+   (which decodes and re-captures whole, then makes the audit's SDW
+   constructor raise). *)
+let test_resealed_damage_is_a_typed_error () =
+  let sys = fresh_system () in
+  let seed = 0x5eed_0123_4567 in
+  Trace.Span.set_sampling (Os.System.machine sys).Isa.Machine.spans
+    ~interval:1 ~seed;
+  let image, _ = run_capturing_at sys ~at:150 in
+  (* The span section's sampler seed is followed by the histogram
+     count. *)
+  expect_refused "histogram count"
+    (function Os.Snapshot.Corrupt _ -> true | _ -> false)
+    (reseal_with image ~at:(find_words image [ seed ] + 8) (1 lsl 40));
+  let p = (List.hd (Os.System.entries sys)).Os.System.process in
+  match Hashtbl.find p.Os.Process.placement 0 with
+  | Os.Process.Direct { base; bound } ->
+      (* segno, Direct's tag, base, bound *)
+      let at = find_words image [ 0; 0; base; bound ] + 24 in
+      expect_refused "placement bound"
+        (function
+          | Os.Snapshot.Audit_rejected _ | Os.Snapshot.Corrupt _ -> true
+          | _ -> false)
+        (reseal_with image ~at 1_048_576)
+  | Os.Process.Paged_at _ -> Alcotest.fail "segment 0 is not placed directly"
+
 let test_audit_rejects_tampered_tables () =
   (* Widen an SDW behind the kernel's back, then checkpoint: the image
      is whole (checksum and self-check pass) but the restore audit
@@ -913,6 +968,8 @@ let suite =
           `Quick test_damaged_images_are_rejected;
         Alcotest.test_case "restore audit rejects tampered kernel tables"
           `Quick test_audit_rejects_tampered_tables;
+        Alcotest.test_case "resealed damage is a typed error" `Quick
+          test_resealed_damage_is_a_typed_error;
         Alcotest.test_case "watchdog quarantines a stuck process" `Quick
           test_watchdog_quarantines_stuck_process;
         Alcotest.test_case "watchdog is off by default" `Quick

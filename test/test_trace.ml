@@ -365,19 +365,29 @@ let test_counters_add () =
     (Trace.Counters.fields (Trace.Counters.add b a))
 
 (* [of_fields] is the decode path for snapshot images: it must round-
-   trip [fields] exactly and, on schema drift, name every unknown and
-   missing field instead of silently misreading. *)
+   trip [fields] exactly, for any counter values, and so must the live
+   counters through [restore] and [snapshot]; on schema drift it must
+   name every unknown and missing field instead of silently
+   misreading. *)
 let test_counters_of_fields () =
   let c = Trace.Counters.create () in
+  let names =
+    List.map fst (Trace.Counters.fields (Trace.Counters.snapshot c))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"counter fields round trip" ~count:200
+       (QCheck.list_of_size (QCheck.Gen.return (List.length names)) QCheck.int)
+       (fun values ->
+         let fl = List.combine names values in
+         match Trace.Counters.of_fields fl with
+         | Error e -> QCheck.Test.fail_reportf "round trip rejected: %s" e
+         | Ok s ->
+             Trace.Counters.restore c s;
+             Trace.Counters.fields s = fl && Trace.Counters.snapshot c = s));
+  Trace.Counters.reset c;
   Trace.Counters.charge c 42;
   Trace.Counters.bump c Traps;
-  let s = Trace.Counters.snapshot c in
-  let fl = Trace.Counters.fields s in
-  (match Trace.Counters.of_fields fl with
-  | Ok s' ->
-      Alcotest.(check (list (pair string int)))
-        "round trip" fl (Trace.Counters.fields s')
-  | Error e -> Alcotest.failf "round trip rejected: %s" e);
+  let fl = Trace.Counters.fields (Trace.Counters.snapshot c) in
   let renamed =
     List.map
       (fun (n, v) -> ((if n = "traps" then "trapz" else n), v))

@@ -218,6 +218,13 @@ let check_alloc_budget samples =
     (String.concat ", " alloc_gated)
     alloc_budget_words
 
+(* The median of [ratio] over [rounds], all the ratios sorted, and the
+   round that gave the median. *)
+let median_by ratio rounds =
+  let ratios = List.sort compare (List.map ratio rounds) in
+  let median = List.nth ratios (List.length ratios / 2) in
+  (median, ratios, List.find (fun r -> ratio r = median) rounds)
+
 let run_alloc_smoke () =
   let log = Trace.Event.create_log ~capacity:256 () in
   let records = 10_000 in
@@ -755,8 +762,9 @@ let backend_deterministic_fragment s =
        s.bk_violations);
   Buffer.contents buf
 
-let json_of_samples samples span_samples ~traced ~untraced ~idle
-    ~(chaos : Os.Chaos.report) ~snap ~snap_inc ~serving ~arena ~backends =
+let json_of_samples samples span_samples ~traced ~untraced
+    ~idle:(detached, idle) ~(chaos : Os.Chaos.report) ~snap ~snap_inc ~serving
+    ~arena ~backends =
   let buf = Buffer.create 1024 in
   (* Host self-description up front: every section below — not just
      serving — is a measurement on this core count and compiler. *)
@@ -817,8 +825,8 @@ let json_of_samples samples span_samples ~traced ~untraced ~idle
         %d, \"quarantined\": %d, \"degraded\": %d, \"violations\": %d, \
         \"recovery_latency_cycles\": {\"count\": %d, \"p50\": %d, \"p90\": \
         %d, \"p99\": %d, \"max\": %d}}},\n"
-       untraced.name untraced.ips idle.ips (untraced.ips /. idle.ips)
-       (idle.cycles = untraced.cycles)
+       detached.name detached.ips idle.ips (detached.ips /. idle.ips)
+       (idle.cycles = detached.cycles)
        chaos.Os.Chaos.campaigns chaos.Os.Chaos.injected
        chaos.Os.Chaos.retried chaos.Os.Chaos.recovered
        chaos.Os.Chaos.quarantined chaos.Os.Chaos.degraded
@@ -1009,7 +1017,10 @@ let throughput () =
   Trace.Tablefmt.print
     ~title:"Spans - crossing latency percentiles (modeled cycles)" t;
   print_newline ();
-  let pairs =
+  (* Each round runs the untraced workload, then traced, then with an
+     idle injector attached, so both ratios against the untraced run are
+     pairs taken under the same host conditions. *)
+  let rounds =
     let (name, max_instructions, build) = List.hd workloads in
     List.init trace_overhead_pairs (fun _ ->
         Gc.full_major ();
@@ -1018,23 +1029,27 @@ let throughput () =
         in
         Gc.full_major ();
         let traced = run_traced ~clock:Sys.time ~name ~max_instructions build in
-        (untraced, traced))
+        Gc.full_major ();
+        let idle =
+          run_idle_injector ~clock:Sys.time ~name ~max_instructions build
+        in
+        (untraced, traced, idle))
   in
   List.iter
-    (fun (untraced, traced) ->
+    (fun (untraced, traced, idle) ->
       if traced.cycles <> untraced.cycles then
         failwith
           (Printf.sprintf
              "tracing changed modeled cycles on %s: %d traced vs %d untraced"
-             traced.name traced.cycles untraced.cycles))
-    pairs;
-  let ratios =
-    List.sort compare
-      (List.map (fun (u, t) -> u.ips /. t.ips) pairs)
-  in
-  let ratio = List.nth ratios (List.length ratios / 2) in
-  let untraced, traced =
-    List.find (fun (u, t) -> u.ips /. t.ips = ratio) pairs
+             traced.name traced.cycles untraced.cycles);
+      if idle.cycles <> untraced.cycles then
+        failwith
+          (Printf.sprintf
+             "idle injector changed modeled cycles on %s: %d vs %d detached"
+             idle.name idle.cycles untraced.cycles))
+    rounds;
+  let ratio, ratios, (untraced, traced, _) =
+    median_by (fun (u, t, _) -> u.ips /. t.ips) rounds
   in
   Printf.printf
     "host time - trace overhead on %s: %.0f instr/sec untraced, %.0f \
@@ -1050,19 +1065,15 @@ let throughput () =
          ratio untraced.name trace_overhead_budget);
   run_alloc_smoke ();
   print_newline ();
-  let idle =
-    let (name, max_instructions, build) = List.hd workloads in
-    run_idle_injector ~clock:Sys.time ~name ~max_instructions build
+  let idle_ratio, idle_ratios, (detached, _, idle) =
+    median_by (fun (u, _, i) -> u.ips /. i.ips) rounds
   in
-  if idle.cycles <> untraced.cycles then
-    failwith
-      (Printf.sprintf
-         "idle injector changed modeled cycles on %s: %d vs %d detached"
-         idle.name idle.cycles untraced.cycles);
   Printf.printf
     "robustness - idle injector on %s: %.0f instr/sec detached, %.0f \
-     attached (ratio %.2fx), modeled cycles identical\n"
-    untraced.name untraced.ips idle.ips (untraced.ips /. idle.ips);
+     attached in the median of %d pairs (CPU time; ratio %.2fx, pairs %s), \
+     modeled cycles identical\n"
+    detached.name detached.ips idle.ips trace_overhead_pairs idle_ratio
+    (String.concat " " (List.map (Printf.sprintf "%.2f") idle_ratios));
   let chaos = Os.Chaos.run_campaigns ~campaigns:20 (Hw.Inject.default_plan ~seed:0) in
   if chaos.Os.Chaos.violations <> [] then
     failwith
@@ -1362,7 +1373,7 @@ let throughput () =
   print_newline ();
   let oc = open_out "BENCH_throughput.json" in
   output_string oc
-    (json_of_samples samples span_samples ~traced ~untraced ~idle ~chaos
-       ~snap ~snap_inc ~serving ~arena ~backends);
+    (json_of_samples samples span_samples ~traced ~untraced
+       ~idle:(detached, idle) ~chaos ~snap ~snap_inc ~serving ~arena ~backends);
   close_out oc;
   Printf.printf "wrote BENCH_throughput.json\n"

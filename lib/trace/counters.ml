@@ -1,5 +1,5 @@
-(* One int per counter, indexed by [field]; [index], the [snapshot]
-   record and [fields] list the counters in the variant's order. *)
+(* One int per counter, indexed by [field]; [index], [snapshot] and
+   [names] list the counters in the variant's order. *)
 
 type field =
   | Cycles
@@ -45,9 +45,8 @@ type field =
   | Events_sampled_out
   | Spans_sampled_out
 
-(* A match on constant constructors numbered in declaration order: the
-   native compiler turns it into the constructor's own tag, so [bump]
-   is one load, one add and one store. *)
+(* Numbered in declaration order, the match compiles to the
+   constructor's own tag: [bump] is one load, one add and one store. *)
 let[@inline] index = function
   | Cycles -> 0
   | Instructions -> 1
@@ -99,7 +98,7 @@ let create () = Array.make count 0
 let reset t = Array.fill t 0 count 0
 
 (* In range by construction: [t] is always [count] long. *)
-let get (t : t) f = Array.unsafe_get t (index f)
+let[@inline] get (t : t) f = Array.unsafe_get t (index f)
 
 let bump t f =
   let i = index f in
@@ -152,10 +151,11 @@ type snapshot = {
   events_dropped : int;
   events_sampled_out : int;
   spans_sampled_out : int;
+  raw : t;  (* the array this view reads; never mutated *)
 }
 
-(* The two conversions between the array and its record view. *)
-let snapshot (t : t) : snapshot =
+(* The read-out view of [t], which it keeps: [t] must not change. *)
+let view (t : t) : snapshot =
   {
     cycles = get t Cycles;
     instructions = get t Instructions;
@@ -199,64 +199,74 @@ let snapshot (t : t) : snapshot =
     events_dropped = get t Events_dropped;
     events_sampled_out = get t Events_sampled_out;
     spans_sampled_out = get t Spans_sampled_out;
+    raw = t;
   }
 
-(* The record's fields by name, in [index] order: the one listing of
-   the export names. *)
-let fields (s : snapshot) =
-  [
-    ("cycles", s.cycles);
-    ("instructions", s.instructions);
-    ("memory_reads", s.memory_reads);
-    ("memory_writes", s.memory_writes);
-    ("sdw_fetches", s.sdw_fetches);
-    ("indirections", s.indirections);
-    ("traps", s.traps);
-    ("calls_same_ring", s.calls_same_ring);
-    ("calls_downward", s.calls_downward);
-    ("calls_upward", s.calls_upward);
-    ("returns_same_ring", s.returns_same_ring);
-    ("returns_upward", s.returns_upward);
-    ("returns_downward", s.returns_downward);
-    ("gatekeeper_entries", s.gatekeeper_entries);
-    ("descriptor_switches", s.descriptor_switches);
-    ("access_violations", s.access_violations);
-    ("ptw_fetches", s.ptw_fetches);
-    ("page_faults", s.page_faults);
-    ("page_evictions", s.page_evictions);
-    ("channel_ops", s.channel_ops);
-    ("sdw_cache_hits", s.sdw_cache_hits);
-    ("sdw_cache_misses", s.sdw_cache_misses);
-    ("sdw_cache_evictions", s.sdw_cache_evictions);
-    ("ptw_tlb_hits", s.ptw_tlb_hits);
-    ("ptw_tlb_misses", s.ptw_tlb_misses);
-    ("ptw_tlb_evictions", s.ptw_tlb_evictions);
-    ("icache_hits", s.icache_hits);
-    ("icache_misses", s.icache_misses);
-    ("icache_evictions", s.icache_evictions);
-    ("injected", s.injected);
-    ("retried", s.retried);
-    ("recovered", s.recovered);
-    ("quarantined", s.quarantined);
-    ("degraded", s.degraded);
-    ("snapshots_written", s.snapshots_written);
-    ("restores", s.restores);
-    ("restore_audit_rejections", s.restore_audit_rejections);
-    ("journal_replays_skipped", s.journal_replays_skipped);
-    ("watchdog_tripped", s.watchdog_tripped);
-    ("events_dropped", s.events_dropped);
-    ("events_sampled_out", s.events_sampled_out);
-    ("spans_sampled_out", s.spans_sampled_out);
-  ]
+let snapshot t = view (Array.copy t)
 
-let names = Array.of_list (List.map fst (fields (snapshot (create ()))))
-let to_array s = Array.of_list (List.map snd (fields s))
-let restore t s = Array.blit (to_array s) 0 t 0 count
+let names =
+  [|
+    "cycles";
+    "instructions";
+    "memory_reads";
+    "memory_writes";
+    "sdw_fetches";
+    "indirections";
+    "traps";
+    "calls_same_ring";
+    "calls_downward";
+    "calls_upward";
+    "returns_same_ring";
+    "returns_upward";
+    "returns_downward";
+    "gatekeeper_entries";
+    "descriptor_switches";
+    "access_violations";
+    "ptw_fetches";
+    "page_faults";
+    "page_evictions";
+    "channel_ops";
+    "sdw_cache_hits";
+    "sdw_cache_misses";
+    "sdw_cache_evictions";
+    "ptw_tlb_hits";
+    "ptw_tlb_misses";
+    "ptw_tlb_evictions";
+    "icache_hits";
+    "icache_misses";
+    "icache_evictions";
+    "injected";
+    "retried";
+    "recovered";
+    "quarantined";
+    "degraded";
+    "snapshots_written";
+    "restores";
+    "restore_audit_rejections";
+    "journal_replays_skipped";
+    "watchdog_tripped";
+    "events_dropped";
+    "events_sampled_out";
+    "spans_sampled_out";
+  |]
 
-let diff ~before ~after =
-  snapshot (Array.map2 ( - ) (to_array after) (to_array before))
+(* Not [Array.blit], which pays the write barrier on a major-heap [t]. *)
+let restore t s =
+  for i = 0 to count - 1 do
+    Array.unsafe_set t i s.raw.(i)
+  done
+let fields s = List.combine (Array.to_list names) (Array.to_list s.raw)
 
-let add a b = snapshot (Array.map2 ( + ) (to_array a) (to_array b))
+(* [a] plus [sign] times [b], field by field. *)
+let combine a sign b =
+  let r = Array.copy a.raw in
+  for i = 0 to count - 1 do
+    r.(i) <- r.(i) + (sign * b.raw.(i))
+  done;
+  view r
+
+let diff ~before ~after = combine after (-1) before
+let add a b = combine a 1 b
 
 (* Shape-checked so an image from a build with another counter set is a
    typed decode error naming the fields that drifted, never a silent
@@ -265,7 +275,7 @@ let of_fields (l : (string * int) list) : (snapshot, string) result =
   let expected = Array.to_list names in
   let given = List.map fst l in
   if List.equal String.equal given expected then
-    Ok (snapshot (Array.of_list (List.map snd l)))
+    Ok (view (Array.of_list (List.map snd l)))
   else
     let absent xs n = not (List.mem n xs) in
     let part label = function
@@ -312,7 +322,7 @@ let label i =
   | n -> String.map (function '_' -> ' ' | c -> c) n
 
 let pp_snapshot ppf (s : snapshot) =
-  let a = to_array s in
+  let a = s.raw in
   let moved group = List.exists (List.exists (fun i -> a.(i) <> 0)) group in
   let rows = List.concat (List.filteri (fun k g -> k = 0 || moved g) groups) in
   let row ppf r =

@@ -32,9 +32,7 @@ type field =
   | Page_faults
   | Page_evictions
   | Channel_ops  (** SIOC/SIOT started; billed against an I/O quota. *)
-  | Sdw_cache_hits
-      (** The host-side SDW cache, PTW TLB and instruction cache: they
-          move freely without affecting the modeled cycles. *)
+  | Sdw_cache_hits  (** Host-side caches: no effect on modeled cycles. *)
   | Sdw_cache_misses
   | Sdw_cache_evictions
   | Ptw_tlb_hits
@@ -43,26 +41,19 @@ type field =
   | Icache_hits
   | Icache_misses
   | Icache_evictions
-  | Injected
-      (** Faults the injector ({!Hw.Inject}) delivered, then what the
-          kernel did about them: retry, scrub and resume, quarantine a
-          process, or degrade the caches to uncached operation. *)
+  | Injected  (** Faults delivered, then what the kernel did about them. *)
   | Retried
   | Recovered
   | Quarantined
   | Degraded
   | Snapshots_written
-      (** Bumped before serializing, so an image counts itself, and
-          rolled back if the capture fails.  [Restores] and
-          [Journal_replays_skipped] are session-local; every other
-          counter is checkpoint-deterministic. *)
+      (** Counts the capture it is in; [Restores] and
+          [Journal_replays_skipped] are session-local. *)
   | Restores
   | Restore_audit_rejections
   | Journal_replays_skipped
   | Watchdog_tripped
-  | Events_dropped
-      (** What tracing discarded (a full ring buffer, the 1-in-N
-          sampler); they move only while tracing is enabled. *)
+  | Events_dropped  (** What tracing discarded; moves only when on. *)
   | Events_sampled_out
   | Spans_sampled_out
 
@@ -85,7 +76,7 @@ val instructions : t -> int
 (** {1 Snapshots} *)
 
 (** A read-out of every counter, one field per {!field}. *)
-type snapshot = {
+type snapshot = private {
   cycles : int;
   instructions : int;
   memory_reads : int;
@@ -128,6 +119,7 @@ type snapshot = {
   events_dropped : int;
   events_sampled_out : int;
   spans_sampled_out : int;
+  raw : int array;  (** The counters in {!field} order.  Never mutate it. *)
 }
 
 val snapshot : t -> snapshot

@@ -172,7 +172,14 @@ let list c =
         go n []);
   }
 
-let array c = map (list c) Array.of_list Array.to_list
+let array c =
+  {
+    write =
+      (fun b a ->
+        int.write b (Array.length a);
+        Array.iter (c.write b) a);
+    read = (fun r -> Array.of_list ((list c).read r));
+  }
 let int_array = array int
 
 (* Records: [record make |+ (c, get) |+ ...] lists the fields in wire
@@ -205,7 +212,18 @@ let rec read_fields : type w f. (w, f) fields -> reader -> f =
       k x
 
 let seal fields = { write = write_fields fields; read = read_fields fields }
-let pair a b = seal (record (fun x y -> (x, y)) |+ (a, fst) |+ (b, snd))
+let pair a b =
+  {
+    write =
+      (fun buf (x, y) ->
+        a.write buf x;
+        b.write buf y);
+    read =
+      (fun r ->
+        let x = a.read r in
+        let y = b.read r in
+        (x, y));
+  }
 
 let triple a b c =
   map (pair a (pair b c))
@@ -355,11 +373,9 @@ let fault : Rings.Fault.t t =
         (function
           | Transfer_ring_change r -> Some (r.exec, r.effective)
           | _ -> None);
-      case ring
-        (fun ring -> Privileged_instruction { ring })
+      case ring (fun ring -> Privileged_instruction { ring })
         (function Privileged_instruction { ring } -> Some ring | _ -> None);
-      case int
-        (fun segno -> Missing_segment { segno })
+      case int (fun segno -> Missing_segment { segno })
         (function Missing_segment { segno } -> Some segno | _ -> None);
       case (pair int int)
         (fun (segno, pageno) -> Missing_page { segno; pageno })
@@ -369,41 +385,33 @@ let fault : Rings.Fault.t t =
         (function
           | Bound_violation r -> Some (r.segno, r.wordno, r.bound)
           | _ -> None);
-      case int
-        (fun word -> Illegal_opcode { word })
+      case int (fun word -> Illegal_opcode { word })
         (function Illegal_opcode { word } -> Some word | _ -> None);
       case (pair int int)
         (fun (segno, wordno) -> Cross_ring_transfer { segno; wordno })
         (function
           | Cross_ring_transfer r -> Some (r.segno, r.wordno)
           | _ -> None);
-      case ring
-        (fun ring -> Halt_in_slave_ring { ring })
+      case ring (fun ring -> Halt_in_slave_ring { ring })
         (function Halt_in_slave_ring { ring } -> Some ring | _ -> None);
       const Divide_by_zero;
-      case int
-        (fun code -> Service_call { code })
+      case int (fun code -> Service_call { code })
         (function Service_call { code } -> Some code | _ -> None);
       const Timer_runout;
       const Io_completion;
-      case int
-        (fun addr -> Parity_error { addr })
+      case int (fun addr -> Parity_error { addr })
         (function Parity_error { addr } -> Some addr | _ -> None);
       const Io_error;
-      case int
-        (fun budget -> Watchdog_timeout { budget })
+      case int (fun budget -> Watchdog_timeout { budget })
         (function Watchdog_timeout { budget } -> Some budget | _ -> None);
       case (pair string int)
         (fun (resource, limit) -> Quota_exhausted { resource; limit })
         (function Quota_exhausted r -> Some (r.resource, r.limit) | _ -> None);
-      case ring
-        (fun effective -> Cap_load_violation { effective })
+      case ring (fun effective -> Cap_load_violation { effective })
         (function Cap_load_violation r -> Some r.effective | _ -> None);
-      case ring
-        (fun effective -> Cap_store_violation { effective })
+      case ring (fun effective -> Cap_store_violation { effective })
         (function Cap_store_violation r -> Some r.effective | _ -> None);
-      case ring
-        (fun ring -> Cap_exec_violation { ring })
+      case ring (fun ring -> Cap_exec_violation { ring })
         (function Cap_exec_violation { ring } -> Some ring | _ -> None);
       case (pair int int)
         (fun (wordno, gates) -> Cap_seal_violation { wordno; gates })
@@ -426,15 +434,12 @@ let exit : Kernel.exit t =
       const Kernel.Exited;
       const Kernel.Preempted;
       const Kernel.Blocked;
-      case fault
-        (fun f -> Kernel.Terminated f)
+      case fault (fun f -> Kernel.Terminated f)
         (function Kernel.Terminated f -> Some f | _ -> None);
-      case string
-        (fun msg -> Kernel.Gatekeeper_error msg)
+      case string (fun msg -> Kernel.Gatekeeper_error msg)
         (function Kernel.Gatekeeper_error msg -> Some msg | _ -> None);
       const Kernel.Out_of_budget;
-      case fault
-        (fun f -> Kernel.Quarantined f)
+      case fault (fun f -> Kernel.Quarantined f)
         (function Kernel.Quarantined f -> Some f | _ -> None);
     ]
 
@@ -501,11 +506,9 @@ let event : Trace.Event.t t =
           | Return { crossing; from_ring; to_ring; segno; wordno } ->
               Some (crossing, from_ring, to_ring, segno, wordno)
           | _ -> None);
-      case (pair int string)
-        (fun (ring, cause) -> Trap { ring; cause })
+      case (pair int string) (fun (ring, cause) -> Trap { ring; cause })
         (function Trap { ring; cause } -> Some (ring, cause) | _ -> None);
-      case string
-        (fun action -> Gatekeeper { action })
+      case string (fun action -> Gatekeeper { action })
         (function Gatekeeper { action } -> Some action | _ -> None);
       case (pair int int)
         (fun (from_ring, to_ring) -> Descriptor_switch { from_ring; to_ring })
@@ -640,8 +643,7 @@ let profile_dump =
 let placement : Process.placement t =
   cases "placement"
     [
-      case (pair int int)
-        (fun (base, bound) -> Process.Direct { base; bound })
+      case (pair int int) (fun (base, bound) -> Process.Direct { base; bound })
         (function Process.Direct r -> Some (r.base, r.bound) | _ -> None);
       case (pair int int)
         (fun (pt_base, bound) -> Process.Paged_at { pt_base; bound })
@@ -883,7 +885,9 @@ let machine_post : (Isa.Machine.t, Isa.Machine.t -> unit) codec =
          else if tagged <> [] then corrupt "tagged words without a tag store";
          m.cap_stack <- cap_stack)
     |+ ( list int,
-         fun (m : Isa.Machine.t) -> List.map fst (sorted_bindings m.sdw_tags) )
+         fun (m : Isa.Machine.t) ->
+           Hashtbl.fold (fun k _ l -> k :: l) m.sdw_tags [] |> List.sort compare
+       )
     |+ (option inject_dump, fun m -> Option.map Hw.Inject.dump m.injector)
     |+ (bool, fun m -> Hw.Memory.tags_enabled m.mem)
     |+ (list int, fun m -> Hw.Memory.tagged_addrs m.mem)
@@ -972,8 +976,7 @@ let status : System.status t =
     [
       const System.Ready;
       const System.Blocked;
-      case exit
-        (fun e -> System.Done e)
+      case exit (fun e -> System.Done e)
         (function System.Done e -> Some e | _ -> None);
     ]
 
@@ -1135,7 +1138,8 @@ let warm_boot sys image = Result.map ignore (rewind sys image)
 
 let restore sys image =
   let m = System.machine sys in
-  let applied =
+  let ( let* ) = Result.bind in
+  let* () =
     decoding (fun () ->
         let r = parse_header image in
         (* Flush whatever host state the respawn replay left behind; the
@@ -1144,33 +1148,27 @@ let restore sys image =
         Isa.Machine.quiesce m;
         apply r sys)
   in
-  match applied with
-  | Error e -> Error e
-  | Ok () ->
-      (* Self-check: the restored state must re-capture to the very
-         bytes we just read — any state the codec forgot, or applied
-         differently than it serialized, surfaces here rather than as
-         a silent divergence thousands of cycles later. *)
-      if not (String.equal (capture_silent sys) image) then
-        Error Self_check_failed
-      else begin
-        Trace.Counters.bump m.Isa.Machine.counters Restores;
-        (* Audit: re-derive every SDW from the kernel's authoritative
-           tables and walk the crossing stacks — the same invariants
-           the chaos harness checks after fault campaigns.  A
-           tampered-but-well-checksummed image fails here, and so does
-           one whose tables cannot even be turned into an SDW. *)
-        let problems =
-          try Chaos.check_invariants ~campaign:0 sys
-          with Invalid_argument msg -> [ msg ]
-        in
-        match problems with
-        | [] -> Ok ()
-        | problems ->
-            Trace.Counters.bump m.Isa.Machine.counters
-              Restore_audit_rejections;
-            Error (Audit_rejected problems)
-      end
+  (* Self-check: the restored state must re-capture to the very bytes we
+     just read — any state the codec forgot, or applied differently than
+     it serialized, surfaces here rather than as a silent divergence
+     thousands of cycles later. *)
+  if not (String.equal (capture_silent sys) image) then Error Self_check_failed
+  else begin
+    Trace.Counters.bump m.Isa.Machine.counters Restores;
+    (* Audit: re-derive every SDW from the kernel's authoritative tables
+       and walk the crossing stacks — the same invariants the chaos
+       harness checks after fault campaigns.  A tampered-but-well-
+       checksummed image fails here, and so does one whose tables cannot
+       even be turned into an SDW. *)
+    match
+      try Chaos.check_invariants ~campaign:0 sys
+      with Invalid_argument msg -> [ msg ]
+    with
+    | [] -> Ok ()
+    | problems ->
+        Trace.Counters.bump m.Isa.Machine.counters Restore_audit_rejections;
+        Error (Audit_rejected problems)
+  end
 
 (* {1 Incremental capture}
 

@@ -173,13 +173,15 @@ let list c =
   }
 
 let array c =
+  let l = list c in
   {
     write =
       (fun b a ->
         int.write b (Array.length a);
         Array.iter (c.write b) a);
-    read = (fun r -> Array.of_list ((list c).read r));
+    read = (fun r -> Array.of_list (l.read r));
   }
+
 let int_array = array int
 
 (* Records: [record make |+ (c, get) |+ ...] lists the fields in wire
@@ -212,6 +214,7 @@ let rec read_fields : type w f. (w, f) fields -> reader -> f =
       k x
 
 let seal fields = { write = write_fields fields; read = read_fields fields }
+
 let pair a b =
   {
     write =
@@ -263,6 +266,7 @@ let cases what cs =
 
 let enum what vs = cases what (List.map const vs)
 let bool = enum "boolean" [ false; true ]
+
 let option c =
   let none = function None -> Some () | Some _ -> None in
   cases "option" [ case unit (fun () -> None) none; case c Option.some Fun.id ]

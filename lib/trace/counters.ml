@@ -255,7 +255,7 @@ let restore t s =
   for i = 0 to count - 1 do
     Array.unsafe_set t i s.raw.(i)
   done
-let fields s = List.combine (Array.to_list names) (Array.to_list s.raw)
+let fields s = List.init count (fun i -> (names.(i), s.raw.(i)))
 
 (* [a] plus [sign] times [b], field by field. *)
 let combine a sign b =

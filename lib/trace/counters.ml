@@ -255,9 +255,9 @@ let restore t s =
   for i = 0 to count - 1 do
     Array.unsafe_set t i s.raw.(i)
   done
+
 let fields s = List.init count (fun i -> (names.(i), s.raw.(i)))
 
-(* [a] plus [sign] times [b], field by field. *)
 let combine a sign b =
   let r = Array.copy a.raw in
   for i = 0 to count - 1 do
